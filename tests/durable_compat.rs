@@ -1,11 +1,12 @@
 //! Durable-format compatibility: golden fixtures pin the `STRM` v2
-//! stream-file layout and the `CKPT` v1 session-checkpoint blob, so
-//! on-disk series and checkpoints written today stay readable (and
-//! recoverable) forever — any drift must be a conscious, versioned
-//! change.
+//! stream-file layout, the `STRM` v3 tiered layout a compaction
+//! publishes, and the `CKPT` v1 session-checkpoint blob, so on-disk
+//! series and checkpoints written today stay readable (and recoverable)
+//! forever — any drift must be a conscious, versioned change.
 //!
 //! Regenerated (never casually!) by
-//! `cargo run --release -p bench --bin diag_strm_file_fixture` and
+//! `cargo run --release -p bench --bin diag_strm_file_fixture`,
+//! `cargo run --release -p bench --bin diag_strm_v3_fixture` and
 //! `cargo run --release -p bench --bin diag_ckpt_fixture`.
 
 use adaptive_config::ratio_model::{CodecModelBank, RatioModel};
@@ -13,8 +14,9 @@ use adaptive_config::session::{
     QualityPolicy, SessionCheckpoint, SessionConfig, StreamSession, CHECKPOINT_VERSION,
 };
 use codec_core::{
-    fnv1a64, footer_len, recover_stream, stream_file_bytes, trailer_len, CodecId, Container,
-    StreamFileReader, STREAM_FILE_VERSION,
+    compact_stream_file, fnv1a64, footer_len, recover_stream, stream_file_bytes, trailer_len,
+    CodecId, CompactionConfig, Container, StreamFileReader, StreamFileWriter,
+    STREAM_FILE_TIERED_VERSION, STREAM_FILE_VERSION,
 };
 use gridlab::{Decomposition, Dim3, Field3};
 
@@ -134,6 +136,83 @@ fn golden_stream_file_recovers_as_the_identity_and_truncated() {
     let (rec, report) = recover_stream(&golden[..cut]).expect("recovers");
     assert_eq!(report.frames_kept, 1);
     assert_eq!(rec, one_frame);
+}
+
+// --- STRM v3 tiered stream file ----------------------------------------
+
+/// Must match `diag_strm_v3_fixture`: the bound frame 0 is re-tiered at.
+const V3_COLD_EB: f64 = 2.0;
+
+/// Must match `diag_strm_v3_fixture`: the v2 fixture series appended to a
+/// durable file, finished, then compacted in place with horizon 1.
+fn strm_v3_fixture_stream() -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("durable_compat_v3_{}.strm", std::process::id()));
+    let mut w = StreamFileWriter::create(&path, 8).expect("create stream");
+    for frame in strm_fixture_frames() {
+        w.append_frame(&frame).expect("append frame");
+    }
+    w.finish().expect("finish stream");
+    compact_stream_file::<f32>(&path, CompactionConfig::new(1, V3_COLD_EB))
+        .expect("compaction runs")
+        .expect("frame 0 is past the horizon");
+    let bytes = std::fs::read(&path).expect("read compacted stream");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+#[test]
+fn golden_tiered_stream_file_is_pinned_decodes_and_recovers_unchanged() {
+    let golden = std::fs::read(fixture_path("strm_v3_tiered_2x8.bin"))
+        .expect("golden fixture present in tests/fixtures/");
+    // Layout: v3 header with one cold frame, FTR3 footer on frame 0, FTR2
+    // on frame 1, and a 2-frame trailer behind the back-pointer.
+    assert_eq!(&golden[..4], b"STRM");
+    assert_eq!(golden[4], STREAM_FILE_TIERED_VERSION);
+    assert_eq!(&golden[5..8], &[0, 0, 0]);
+    assert_eq!(u32::from_le_bytes(golden[8..12].try_into().unwrap()), 8, "partitions");
+    assert_eq!(u32::from_le_bytes(golden[12..16].try_into().unwrap()), 1, "cold frames");
+    let tstart = u64::from_le_bytes(golden[golden.len() - 8..].try_into().unwrap()) as usize;
+    assert_eq!(&golden[tstart..tstart + 4], b"TLR2");
+    assert_eq!(u32::from_le_bytes(golden[tstart + 4..tstart + 8].try_into().unwrap()), 2);
+    assert_eq!(golden.len() - tstart, trailer_len(2));
+    for (frame, magic) in [(0usize, b"FTR3"), (1, b"FTR2")] {
+        let at = tstart + 8 + 8 * frame;
+        let fo = u64::from_le_bytes(golden[at..at + 8].try_into().unwrap()) as usize;
+        assert_eq!(&golden[fo..fo + 4], magic, "frame {frame} footer magic");
+        let index = u32::from_le_bytes(golden[fo + 4..fo + 8].try_into().unwrap());
+        assert_eq!(index as usize, frame, "frame {frame} footer index");
+    }
+    let last_footer = u64::from_le_bytes(golden[tstart + 16..tstart + 24].try_into().unwrap());
+    assert_eq!(last_footer as usize + footer_len(8), tstart, "frames end at the trailer");
+
+    // Decodes within bound: the cold frame within the write bound plus the
+    // relaxed re-tiering bound, the hot frame at the write bound, and the
+    // codec mix survives re-tiering.
+    let r = StreamFileReader::from_source(golden.as_slice()).expect("stream recognised");
+    assert_eq!((r.frames(), r.partitions(), r.cold_frames()), (2, 8, 1));
+    r.validate_all().expect("every footer verifies");
+    let dec = strm_fixture_dec();
+    for frame in 0..2u64 {
+        let field = strm_fixture_field(frame);
+        let recon: Field3<f32> = r.reconstruct_frame(frame as usize, &dec).expect("decodes");
+        let bound = if frame == 0 { FIXTURE_EB + V3_COLD_EB } else { FIXTURE_EB };
+        let err = field.max_abs_diff(&recon);
+        assert!(err <= bound * (1.0 + 1e-9), "frame {frame}: bound {bound} violated: {err}");
+        for p in 0..8 {
+            let expect = if p % 2 == 0 { CodecId::Rsz } else { CodecId::Zfp };
+            assert_eq!(r.container(frame as usize, p).unwrap().codec(), expect, "({frame}, {p})");
+        }
+    }
+
+    // Recovery of the intact fixture returns it unchanged.
+    let (rec, report) = recover_stream(&golden).expect("recovers");
+    assert_eq!(report.frames_kept, 2);
+    assert_eq!(rec, golden);
+
+    // And the production path still writes exactly these bytes.
+    let now = strm_v3_fixture_stream();
+    assert_eq!(fnv1a64(&now), fnv1a64(&golden), "tiered bytes drifted from the v3 fixture");
+    assert_eq!(now, golden);
 }
 
 // --- CKPT session checkpoint --------------------------------------------
