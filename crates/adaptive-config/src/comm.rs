@@ -13,8 +13,10 @@
 //! of the group owning its threads. [`run_ranks`] is now a thin wrapper
 //! that builds a group and spawns one scoped thread per handle.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+
+/// A rank panicked mid-collective; its peers cannot complete it either.
+const POISONED: &str = "collective state poisoned by a panicking rank";
 
 struct Shared {
     state: Mutex<State>,
@@ -57,7 +59,7 @@ impl Comm {
     /// Sum `value` across all ranks; every rank receives the total.
     pub fn allreduce_sum(&self, value: f64) -> f64 {
         let sh = &self.shared;
-        let mut st = sh.state.lock();
+        let mut st = sh.state.lock().expect(POISONED);
         let gen = st.generation;
         st.sum += value;
         st.arrived += 1;
@@ -68,9 +70,7 @@ impl Comm {
             st.generation += 1;
             sh.cv.notify_all();
         } else {
-            while st.generation == gen {
-                sh.cv.wait(&mut st);
-            }
+            st = sh.cv.wait_while(st, |st| st.generation == gen).expect(POISONED);
         }
         st.result
     }
@@ -85,7 +85,7 @@ impl Comm {
     /// rank-ordered vector.
     pub fn allgather(&self, value: f64) -> Vec<f64> {
         let sh = &self.shared;
-        let mut st = sh.state.lock();
+        let mut st = sh.state.lock().expect(POISONED);
         let gen = st.generation;
         st.gathered[self.rank] = value;
         st.arrived += 1;
@@ -95,9 +95,7 @@ impl Comm {
             st.generation += 1;
             sh.cv.notify_all();
         } else {
-            while st.generation == gen {
-                sh.cv.wait(&mut st);
-            }
+            st = sh.cv.wait_while(st, |st| st.generation == gen).expect(POISONED);
         }
         st.gather_result.clone()
     }

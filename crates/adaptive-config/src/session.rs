@@ -62,7 +62,7 @@
 //! scenario series.
 //!
 //! Per-snapshot outcomes ([`SnapshotRecord`]) carry the containers (ready
-//! for a `codec_core::StreamWriter` frame) plus [`SnapshotStats`] with the
+//! for a `codec_core::StreamFileWriter` frame) plus [`SnapshotStats`] with the
 //! calibration event, the measured drift residual and the modeling cost,
 //! so the amortization claim is auditable from the session history alone.
 //!

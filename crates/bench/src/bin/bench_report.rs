@@ -475,8 +475,8 @@ fn main() {
     // time. Throughput is stream bytes processed per pass.
     {
         use codec_core::{
-            compact_stream_file, recover_stream, stream_file_bytes, CompactionConfig, Container,
-            StreamFileReader,
+            compact_stream_file, recover_stream, CompactionConfig, Container, StreamFileReader,
+            StreamFileWriter, SyncPolicy,
         };
         let frames_n = if smoke { 8 } else { 64 };
         let dec2 = workloads::decomposition(&scale);
@@ -492,8 +492,17 @@ fn main() {
                 )
             })
             .collect();
-        let stream: Vec<Vec<Container>> = (0..frames_n).map(|_| frame.clone()).collect();
-        let full_bytes = stream_file_bytes(frame.len(), &stream);
+        let mut full_bytes = Vec::new();
+        let mut w = StreamFileWriter::create_in(
+            std::io::Cursor::new(&mut full_bytes),
+            frame.len(),
+            SyncPolicy::Flush,
+        )
+        .expect("in-memory stream");
+        for _ in 0..frames_n {
+            w.append_frame(&frame).expect("append frame");
+        }
+        w.finish().expect("finish stream");
         let torn = &full_bytes[..full_bytes.len() - full_bytes.len() / 7];
         let ooc_grid = format!("{grid}, {frames_n} frames, {} KiB", full_bytes.len() / 1024);
         let sbytes = Some(full_bytes.len() as u64);

@@ -198,7 +198,11 @@ fn main() {
             Container::compress(codec_core::CodecId::Rsz, b.as_slice(), b.dims(), 0.1)
         })
         .collect();
-    let bytes = codec_core::stream_file_bytes(8, &[frame]);
+    let mut bytes = Vec::new();
+    let mut w = StreamFileWriter::create_in(std::io::Cursor::new(&mut bytes), 8, SyncPolicy::Flush)
+        .expect("in-memory stream");
+    w.append_frame(&frame).expect("append");
+    w.finish().expect("finish");
     let (rec, _) = recover_stream(&bytes[..bytes.len() - 3]).expect("recover");
     assert!(!rec.is_empty());
 

@@ -14,7 +14,7 @@
 //!
 //! and commit the new bytes together with the rationale.
 
-use codec_core::{stream_file_bytes, CodecId, Container};
+use codec_core::{CodecId, Container, StreamFileWriter, SyncPolicy};
 use gridlab::{Decomposition, Dim3, Field3};
 
 /// Must match `tests/durable_compat.rs`.
@@ -29,20 +29,28 @@ fn fixture_field(frame: u64) -> Field3<f32> {
 /// Must match `tests/durable_compat.rs`.
 fn fixture_stream() -> Vec<u8> {
     let dec = Decomposition::cubic(16, 2).expect("2 divides 16");
-    let frames: Vec<Vec<Container>> = (0..2u64)
-        .map(|frame| {
-            let field = fixture_field(frame);
-            dec.iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let brick = field.extract(p.origin, p.dims);
-                    let codec = if i % 2 == 0 { CodecId::Rsz } else { CodecId::Zfp };
-                    Container::compress(codec, brick.as_slice(), brick.dims(), 0.25)
-                })
-                .collect()
-        })
-        .collect();
-    stream_file_bytes(dec.num_partitions(), &frames)
+    let mut bytes = Vec::new();
+    let mut w = StreamFileWriter::create_in(
+        std::io::Cursor::new(&mut bytes),
+        dec.num_partitions(),
+        SyncPolicy::Flush,
+    )
+    .expect("in-memory stream");
+    for frame in 0..2u64 {
+        let field = fixture_field(frame);
+        let containers: Vec<Container> = dec
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let brick = field.extract(p.origin, p.dims);
+                let codec = if i % 2 == 0 { CodecId::Rsz } else { CodecId::Zfp };
+                Container::compress(codec, brick.as_slice(), brick.dims(), 0.25)
+            })
+            .collect();
+        w.append_frame(&containers).expect("append frame");
+    }
+    w.finish().expect("finish stream");
+    bytes
 }
 
 fn main() {

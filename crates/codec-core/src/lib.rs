@@ -51,26 +51,26 @@
 //!
 //! ## Stream containers
 //!
-//! [`stream`] frames a whole snapshot *series*: the `STRM` v1 manifest
-//! ([`StreamWriter`]/[`StreamReader`]) records a frame index plus a
-//! frame×partition offset table over v2 containers, so any
-//! (snapshot, partition) pair decodes in O(1) without scanning prior
-//! frames. [`stream_file`] is the durable `STRM` v2 variant the streaming
-//! session engine persists through: data-first/manifest-last so frames
-//! append straight to disk ([`StreamFileWriter`]), a crash loses at most
+//! [`stream_file`] frames a whole snapshot *series* as a `STRM` stream:
+//! data-first/manifest-last, so frames append straight to disk as the
+//! streaming session emits them ([`StreamFileWriter`]), and a per-frame
+//! footer plus a trailer index make any (snapshot, partition) pair
+//! decodable in O(1) without scanning prior frames. A crash loses at most
 //! the in-flight frame ([`recover_stream`]/[`StreamFileWriter::recover`]
-//! re-derive the valid prefix), and [`StreamFileReader`] serves the same
-//! O(1) random access from a [`StreamSource`] (file or bytes) without
-//! loading the payload region — or the manifest, which it validates
-//! lazily through a bounded window so long streams never have to fit in
-//! memory on any path. [`CompactionTask`] re-tiers frames older than a
-//! horizon into the `STRM` v3 cold tier (re-compressed at a relaxed
-//! bound, `FTR3`/quad-digest footers) behind an atomic rename.
+//! re-derive the valid prefix through one recovery routine), and
+//! [`StreamFileReader`] serves random access from any `Read + Seek` source
+//! without loading the payload region — or the manifest, which it
+//! validates lazily through a bounded window so long streams never have
+//! to fit in memory on any path. [`CompactionTask`] re-tiers frames older
+//! than a horizon into the `STRM` v3 cold tier (re-compressed at a relaxed
+//! bound, `FTR3`/quad-digest footers) behind an atomic rename. The writer
+//! appends to any [`StreamStore`] — a file, or an in-memory buffer — and
+//! the one reader also serves the manifest-first `STRM` v1 streams earlier
+//! revisions wrote, read-only.
 
 pub mod codec;
 pub mod container;
 mod obs;
-pub mod stream;
 pub mod stream_file;
 
 pub use codec::{
@@ -79,10 +79,9 @@ pub use codec::{
 };
 pub use container::{fnv1a64, fnv1a64_quad, fnv1a64_quad_scalar, Container, CONTAINER_VERSION};
 pub use obs::{record_kernel_backends, KERNELS};
-pub use stream::{StreamReader, StreamWriter, STREAM_VERSION};
 pub use stream_file::{
-    compact_stream_file, footer_len, recover_stream, stream_file_bytes, stream_file_bytes_tiered,
-    trailer_len, CompactionConfig, CompactionReport, CompactionTask, FileSource, RecoveryReport,
-    StreamFileReader, StreamFileWriter, StreamSource, SyncPolicy, DEFAULT_MANIFEST_WINDOW,
+    compact_stream_file, footer_len, recover_stream, stream_file_bytes_tiered, trailer_len,
+    CompactionConfig, CompactionReport, CompactionTask, FileSource, RecoveryReport,
+    StreamFileReader, StreamFileWriter, StreamStore, SyncPolicy, DEFAULT_MANIFEST_WINDOW,
     STREAM_FILE_TIERED_VERSION, STREAM_FILE_VERSION,
 };

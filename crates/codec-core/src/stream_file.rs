@@ -1,19 +1,27 @@
-//! Durable (append-to-disk) stream containers — `STRM` versions 2 and 3.
+//! Stream containers — `STRM` versions 2 and 3, and version 1 read-only.
 //!
-//! The in-memory [`StreamWriter`](crate::stream::StreamWriter) buffers a
-//! whole series and emits a manifest-*first* stream: fine for post-hoc
-//! packaging, fatal for the paper's deployment mode, where a simulation
-//! emits snapshots over hours of wall clock and can die at any instant. A
-//! manifest-first layout cannot be appended to (the offset table precedes
-//! the payload region), and a crash loses the entire buffered series.
-//!
-//! Version 2 inverts the layout: **data first, manifest last**. Version 3
-//! is the same layout plus a **cold tier**: a prefix of frames the
-//! compactor (below) has re-compressed at a relaxed bound or colder
-//! codec, marked by `FTR3` footers digested with the interleaved
+//! A time-series compression loop (the paper's Fig. 16 redshift-series
+//! workflow) produces one set of per-partition [`Container`]s per
+//! snapshot, and in the paper's deployment mode the simulation emits
+//! those sets over hours of wall clock and can die at any instant. A
+//! `STRM` stream frames the series so every (snapshot, partition) pair is
+//! addressable in O(1) without scanning prior frames, and lays it out
+//! **data first, manifest last**, so each frame appends to disk as it
+//! lands and a crash loses at most the frame in flight. Version 3 is the
+//! same layout plus a **cold tier**: a prefix of frames the compactor
+//! (below) has re-compressed at a relaxed bound or colder codec, marked by
+//! `FTR3` footers digested with the interleaved
 //! [`fnv1a64_quad`](crate::container::fnv1a64_quad) checksum.
 //!
-//! ## v2 / v3 layout
+//! One writer, [`StreamFileWriter`], encodes every frame: appends,
+//! compaction's cold and rebased hot frames, and the in-memory
+//! [`stream_file_bytes_tiered`] builder. It writes to any [`StreamStore`]
+//! — a [`File`], or an in-memory buffer for streams built and recovered in
+//! memory. One routine recovers a crashed stream, and one reader,
+//! [`StreamFileReader`], serves every version from any `Read + Seek`
+//! source.
+//!
+//! ## Layout
 //!
 //! ```text
 //! offset  size       field
@@ -41,6 +49,22 @@
 //!         8          FNV-1a-64 of the trailer bytes above
 //!         8          absolute offset of the trailer start (the file's
 //!                    last 8 bytes — how a reader finds the trailer)
+//! ```
+//!
+//! Version 1 (read-only) is the manifest-*first* packaging form earlier
+//! revisions wrote. It can be neither appended to nor recovered, so
+//! nothing writes it any more, but the reader serves it forever:
+//!
+//! ```text
+//! 0       4          magic "STRM"
+//! 4       1          version (= 1)
+//! 5       3          reserved (zero)
+//! 8       4          partitions per frame P, little-endian u32
+//! 12      4          frame count F, little-endian u32
+//! 16      8          FNV-1a-64 of the offset table
+//! 24      8·(F·P+1)  offset table: absolute start of container (f, p) at
+//!                    entry f·P+p; the final entry is the stream length
+//! ...                concatenated v2 partition containers, frame-major
 //! ```
 //!
 //! ## Crash-loss guarantee & recovery semantics
@@ -103,11 +127,12 @@
 //! ## Out-of-core guarantees
 //!
 //! Every path here is O(frame) resident, never O(stream): the recovery
-//! scan is a bounded forward window over a `Read + Seek` source (peak
-//! memory is one container plus one footer, whatever the file length);
-//! [`StreamFileReader`] validates footers lazily and keeps only a bounded
-//! manifest window resident ([`DEFAULT_MANIFEST_WINDOW`] frames), so open
-//! cost is header + trailer checksum and the resident set is
+//! scan is a bounded forward window over the store (peak memory is one
+//! container plus one footer, whatever the file length);
+//! [`StreamFileReader`] validates per-frame manifests lazily and keeps
+//! only a bounded window of them resident ([`DEFAULT_MANIFEST_WINDOW`]
+//! frames), so open cost is the header plus a chunked checksum of the
+//! trailer (or of the v1 offset table) and the resident set is
 //! O(frames-in-window); the compactor streams frame-by-frame through the
 //! same bounded reads. The writer and scanner do keep the footer-offset
 //! list (8 bytes per frame — the manifest itself, dwarfed by any single
@@ -117,16 +142,17 @@
 
 use crate::codec::{CodecError, CodecId};
 use crate::container::{fnv1a64, fnv1a64_quad, fnv1a64_update, Container, FNV1A64_SEED};
-use crate::stream::STREAM_VERSION;
 use gridlab::{Decomposition, Field3, Scalar};
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 const MAGIC: &[u8; 4] = b"STRM";
+/// The manifest-first version earlier revisions wrote; read-only now.
+const LEGACY_VERSION: u8 = 1;
 /// Durable (append-to-disk) stream-container version.
 pub const STREAM_FILE_VERSION: u8 = 2;
 /// Tiered stream version: same layout with the leading `cold` frames
@@ -135,8 +161,11 @@ pub const STREAM_FILE_TIERED_VERSION: u8 = 3;
 const FOOTER_MAGIC: &[u8; 4] = b"FTR2";
 const COLD_FOOTER_MAGIC: &[u8; 4] = b"FTR3";
 const TRAILER_MAGIC: &[u8; 4] = b"TLR2";
-/// Fixed header bytes preceding the first frame.
+/// Fixed header bytes preceding the first frame (v2/v3).
 const FILE_HEADER_LEN: usize = 16;
+/// Fixed v1 header bytes preceding the offset table: the v2 header's
+/// fields plus the table checksum.
+const LEGACY_HEADER_LEN: u64 = 24;
 
 /// Byte length of one frame footer in a stream of `partitions`-wide
 /// frames: magic + index + (P+1) offsets + checksum.
@@ -150,59 +179,35 @@ pub fn trailer_len(frames: usize) -> usize {
     4 + 4 + 8 * frames + 8 + 8
 }
 
-fn encode_header(partitions: usize) -> [u8; FILE_HEADER_LEN] {
+/// Header of a fresh stream: v2, or v3 declaring `cold` cold frames.
+fn encode_header(partitions: usize, cold: Option<usize>) -> [u8; FILE_HEADER_LEN] {
     let mut h = [0u8; FILE_HEADER_LEN];
     h[..4].copy_from_slice(MAGIC);
     h[4] = STREAM_FILE_VERSION;
     h[8..12].copy_from_slice(&(partitions as u32).to_le_bytes());
+    if let Some(cold) = cold {
+        h[4] = STREAM_FILE_TIERED_VERSION;
+        h[12..16].copy_from_slice(&(cold as u32).to_le_bytes());
+    }
     h
 }
 
-/// v3 header: v2 plus the cold frame count in the reserved word.
-fn encode_tiered_header(partitions: usize, cold: usize) -> [u8; FILE_HEADER_LEN] {
-    let mut h = encode_header(partitions);
-    h[4] = STREAM_FILE_TIERED_VERSION;
-    h[12..16].copy_from_slice(&(cold as u32).to_le_bytes());
-    h
-}
-
-/// Footer of one hot frame: magic, index, container offsets + footer
-/// start, checksum over all of the above.
-fn encode_footer(index: u32, offsets: &[u64]) -> Vec<u8> {
+/// The footer frame `index` carries in a stream whose first `cold_frames`
+/// frames are the cold tier: magic, index, container offsets + footer
+/// start, then a digest of all of the above — `FTR2` with FNV-1a-64 for a
+/// hot frame, `FTR3` with the interleaved quad digest for a cold one. The
+/// two are the same length, so `footer_len` is tier-independent.
+fn encode_footer(index: usize, cold_frames: usize, offsets: &[u64]) -> Vec<u8> {
+    let cold = index < cold_frames;
     let mut f = Vec::with_capacity(footer_len(offsets.len() - 1));
-    f.extend_from_slice(FOOTER_MAGIC);
-    f.extend_from_slice(&index.to_le_bytes());
+    f.extend_from_slice(if cold { COLD_FOOTER_MAGIC } else { FOOTER_MAGIC });
+    f.extend_from_slice(&(index as u32).to_le_bytes());
     for &o in offsets {
         f.extend_from_slice(&o.to_le_bytes());
     }
-    let fnv = fnv1a64(&f);
-    f.extend_from_slice(&fnv.to_le_bytes());
+    let digest = if cold { fnv1a64_quad(&f) } else { fnv1a64(&f) };
+    f.extend_from_slice(&digest.to_le_bytes());
     f
-}
-
-/// Footer of one cold (re-tiered) frame: `FTR3` magic and the interleaved
-/// quad digest — structurally identical to a hot footer otherwise, so
-/// `footer_len` is tier-independent.
-fn encode_cold_footer(index: u32, offsets: &[u64]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(footer_len(offsets.len() - 1));
-    f.extend_from_slice(COLD_FOOTER_MAGIC);
-    f.extend_from_slice(&index.to_le_bytes());
-    for &o in offsets {
-        f.extend_from_slice(&o.to_le_bytes());
-    }
-    let fnv = fnv1a64_quad(&f);
-    f.extend_from_slice(&fnv.to_le_bytes());
-    f
-}
-
-/// The footer frame `index` must carry in a stream whose first
-/// `cold_frames` frames are the cold tier.
-fn expected_footer(index: usize, cold_frames: usize, offsets: &[u64]) -> Vec<u8> {
-    if index < cold_frames {
-        encode_cold_footer(index as u32, offsets)
-    } else {
-        encode_footer(index as u32, offsets)
-    }
 }
 
 fn encode_trailer(footer_offsets: &[u64], trailer_start: u64) -> Vec<u8> {
@@ -218,6 +223,11 @@ fn encode_trailer(footer_offsets: &[u64], trailer_start: u64) -> Vec<u8> {
     t
 }
 
+/// Little-endian u64 offsets packed back to back (footer and table bodies).
+fn le_u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
+}
+
 fn io_err(context: &str, e: std::io::Error) -> CodecError {
     CodecError::Io(format!("{context}: {e}"))
 }
@@ -228,6 +238,54 @@ fn io_err(context: &str, e: std::io::Error) -> CodecError {
 fn to_usize(v: u64, what: &str) -> Result<usize, CodecError> {
     usize::try_from(v)
         .map_err(|_| CodecError::Format(format!("{what} {v} exceeds this platform's usize")))
+}
+
+/// A frame needs at least one partition, and the header stores the count
+/// as a u32: anything else is a typed error, never a panic or a silently
+/// truncated header.
+fn check_partitions(partitions: usize) -> Result<(), CodecError> {
+    if partitions == 0 || u32::try_from(partitions).is_err() {
+        return Err(CodecError::Format(format!(
+            "a stream frame needs 1..=u32::MAX partitions, got {partitions}"
+        )));
+    }
+    Ok(())
+}
+
+/// Where a [`StreamFileWriter`] keeps its bytes: a [`File`] for durable
+/// streams, or an in-memory buffer (`Cursor<&mut Vec<u8>>`) for streams
+/// built or recovered in memory. Beyond `Read + Write + Seek`, recovery
+/// cuts a torn tail off the store and [`SyncPolicy`] makes its bytes
+/// durable.
+pub trait StreamStore: Read + Write + Seek {
+    /// Cut (or zero-extend) the store to exactly `len` bytes.
+    fn truncate(&mut self, len: u64) -> std::io::Result<()>;
+
+    /// Make every written byte durable: `fdatasync` for a file, nothing
+    /// for memory.
+    fn sync(&mut self) -> std::io::Result<()>;
+}
+
+impl StreamStore for File {
+    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+        self.set_len(len)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.sync_data()
+    }
+}
+
+impl StreamStore for Cursor<&mut Vec<u8>> {
+    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+        let len = usize::try_from(len).map_err(|_| std::io::ErrorKind::InvalidInput)?;
+        self.get_mut().resize(len, 0);
+        Ok(())
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// When a [`StreamFileWriter`]'s bytes become durable. See the module
@@ -270,23 +328,31 @@ fn read_exact_at<R: Read + Seek>(src: &mut R, pos: u64, buf: &mut [u8]) -> Resul
     src.read_exact(buf).map_err(|e| io_err("read stream", e))
 }
 
-/// Copy `src[start..end)` into `dst` through a fixed 64 KiB window.
-fn copy_range(src: &mut File, start: u64, end: u64, dst: &mut File) -> Result<(), CodecError> {
-    let mut buf = vec![0u8; 64 * 1024];
+fn read_u64_at<R: Read + Seek>(src: &mut R, pos: u64) -> Result<u64, CodecError> {
+    let mut b = [0u8; 8];
+    read_exact_at(src, pos, &mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
+/// FNV-1a-64 of `src[start..end)`, streamed through a fixed 4 KiB window
+/// so an index that grows with the stream (the v2 trailer body, the v1
+/// offset table) is verified without ever becoming resident.
+fn checksum_range<R: Read + Seek>(src: &mut R, start: u64, end: u64) -> Result<u64, CodecError> {
     src.seek(SeekFrom::Start(start)).map_err(|e| io_err("seek stream", e))?;
+    let mut h = FNV1A64_SEED;
+    let mut chunk = [0u8; 4096];
     let mut pos = start;
     while pos < end {
-        let n = ((end - pos) as usize).min(buf.len());
-        src.read_exact(&mut buf[..n]).map_err(|e| io_err("read stream", e))?;
-        dst.write_all(&buf[..n]).map_err(|e| io_err("write compaction temp file", e))?;
+        let n = (end - pos).min(chunk.len() as u64) as usize;
+        src.read_exact(&mut chunk[..n]).map_err(|e| io_err("read stream", e))?;
+        h = fnv1a64_update(h, &chunk[..n]);
         pos += n as u64;
     }
-    Ok(())
+    Ok(h)
 }
 
 /// What the streaming recovery scan established about a stream.
 struct ScanOutcome {
-    version: u8,
     partitions: usize,
     /// Cold frames the header declared (0 for v2).
     cold_declared: usize,
@@ -299,13 +365,15 @@ struct ScanOutcome {
 }
 
 /// Scan a durable stream's frames forward from the header over any
-/// `Read + Seek` source of `len` bytes.
+/// `Read + Seek` source of `len` bytes — the first half of
+/// [`StreamFileWriter::resume`].
 ///
-/// This is the recovery primitive: it never trusts a trailer and treats
-/// the first structural violation as end-of-stream. The scan is a bounded
-/// forward window — resident memory peaks at one container plus one
-/// footer regardless of stream length (plus the 8-byte-per-frame footer
-/// list it returns, which *is* the manifest).
+/// It never trusts a trailer and treats the first structural violation as
+/// end-of-stream. The scan is a bounded forward window — resident memory
+/// peaks at one container plus one footer regardless of stream length
+/// (plus the 8-byte-per-frame footer list it returns, which *is* the
+/// manifest). Nothing is reserved from the header's partition count: a
+/// hostile header may declare 2³²−1 partitions in a 16-byte file.
 fn scan_frames_streaming<R: Read + Seek>(src: &mut R, len: u64) -> Result<ScanOutcome, CodecError> {
     if len < FILE_HEADER_LEN as u64 {
         return Err(CodecError::Format("stream file shorter than header".into()));
@@ -319,8 +387,7 @@ fn scan_frames_streaming<R: Read + Seek>(src: &mut R, len: u64) -> Result<ScanOu
     if version != STREAM_FILE_VERSION && version != STREAM_FILE_TIERED_VERSION {
         return Err(CodecError::Format(format!(
             "unsupported stream-file version {version} (expected {STREAM_FILE_VERSION} or \
-             {STREAM_FILE_TIERED_VERSION}; version {STREAM_VERSION} streams are in-memory \
-             manifests, not files)"
+             {STREAM_FILE_TIERED_VERSION}; version {LEGACY_VERSION} streams are read-only)"
         )));
     }
     let partitions = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
@@ -337,9 +404,9 @@ fn scan_frames_streaming<R: Read + Seek>(src: &mut R, len: u64) -> Result<ScanOu
     let mut cursor = FILE_HEADER_LEN as u64;
     let mut wrapper = [0u8; crate::container::WRAPPER_LEN];
     let mut buf: Vec<u8> = Vec::new();
+    let mut offsets: Vec<u64> = Vec::new();
     'frames: loop {
-        let index = footers.len();
-        let mut offsets = Vec::with_capacity(partitions + 1);
+        offsets.clear();
         let mut c = cursor;
         for _ in 0..partitions {
             // A container survives iff its wrapper parses structurally and
@@ -378,7 +445,7 @@ fn scan_frames_streaming<R: Read + Seek>(src: &mut R, len: u64) -> Result<ScanOu
         buf.clear();
         buf.resize(flen as usize, 0);
         read_exact_at(src, c, &mut buf)?;
-        if buf != expected_footer(index, cold_declared, &offsets) {
+        if buf != encode_footer(footers.len(), cold_declared, &offsets) {
             // Covers magic, tier, index, offset mismatches and checksum at
             // once: the footer is a pure function of (tier, index, offsets).
             break;
@@ -387,119 +454,59 @@ fn scan_frames_streaming<R: Read + Seek>(src: &mut R, len: u64) -> Result<ScanOu
         cursor = c + flen;
     }
     let cold_kept = footers.len().min(cold_declared);
-    Ok(ScanOutcome { version, partitions, cold_declared, cold_kept, footers, valid_end: cursor })
-}
-
-/// Serialise a whole series into durable-stream bytes in one go — the
-/// byte-exact in-memory equivalent of [`StreamFileWriter::create`] +
-/// `append_frame` per frame + `finish`. Used by the golden-fixture
-/// regenerator and the crash-recovery property suite; production writers
-/// should append through [`StreamFileWriter`] so frames hit disk as they
-/// land.
-pub fn stream_file_bytes(partitions: usize, frames: &[Vec<Container>]) -> Vec<u8> {
-    assert!(partitions > 0, "a frame needs at least one partition");
-    let mut bytes = encode_header(partitions).to_vec();
-    let mut footers = Vec::with_capacity(frames.len());
-    for (i, frame) in frames.iter().enumerate() {
-        assert_eq!(
-            frame.len(),
-            partitions,
-            "frame {i} has {} partitions, stream expects {partitions}",
-            frame.len()
-        );
-        let mut offsets = Vec::with_capacity(partitions + 1);
-        for c in frame {
-            offsets.push(bytes.len() as u64);
-            bytes.extend_from_slice(c.as_bytes());
-        }
-        offsets.push(bytes.len() as u64);
-        footers.push(bytes.len() as u64);
-        bytes.extend_from_slice(&encode_footer(i as u32, &offsets));
-    }
-    let trailer_start = bytes.len() as u64;
-    bytes.extend_from_slice(&encode_trailer(&footers, trailer_start));
-    bytes
+    Ok(ScanOutcome { partitions, cold_declared, cold_kept, footers, valid_end: cursor })
 }
 
 /// Serialise a tiered series into durable v3 stream bytes in one go — the
 /// byte-exact in-memory equivalent of what a [`CompactionTask`] publishes:
 /// `cold` frames first under `FTR3` footers, then `hot` frames under
-/// ordinary `FTR2` footers. Like [`stream_file_bytes`] this exists for
-/// fixtures and the property suites; production streams become tiered only
-/// through compaction.
+/// ordinary `FTR2` footers. It exists for fixtures and the property
+/// suites; production streams become tiered only through compaction.
 pub fn stream_file_bytes_tiered(
     partitions: usize,
     cold: &[Vec<Container>],
     hot: &[Vec<Container>],
-) -> Vec<u8> {
-    assert!(partitions > 0, "a frame needs at least one partition");
-    let mut bytes = encode_tiered_header(partitions, cold.len()).to_vec();
-    let mut footers = Vec::with_capacity(cold.len() + hot.len());
-    for (i, frame) in cold.iter().chain(hot.iter()).enumerate() {
-        assert_eq!(
-            frame.len(),
-            partitions,
-            "frame {i} has {} partitions, stream expects {partitions}",
-            frame.len()
-        );
-        let mut offsets = Vec::with_capacity(partitions + 1);
-        for c in frame {
-            offsets.push(bytes.len() as u64);
-            bytes.extend_from_slice(c.as_bytes());
-        }
-        offsets.push(bytes.len() as u64);
-        footers.push(bytes.len() as u64);
-        bytes.extend_from_slice(&expected_footer(i, cold.len(), &offsets));
+) -> Result<Vec<u8>, CodecError> {
+    let mut bytes = Vec::new();
+    let store = Cursor::new(&mut bytes);
+    let mut w = StreamFileWriter::start(store, partitions, Some(cold.len()), SyncPolicy::Flush)?;
+    for frame in cold.iter().chain(hot) {
+        w.write_frame(frame.iter().map(Container::as_bytes))?;
     }
-    let trailer_start = bytes.len() as u64;
-    bytes.extend_from_slice(&encode_trailer(&footers, trailer_start));
-    bytes
+    w.finish()?;
+    Ok(bytes)
 }
 
 /// Recover the valid prefix of (possibly crashed) durable-stream bytes.
 ///
 /// Returns finished stream bytes — the surviving frames re-trailered,
-/// byte-identical to [`stream_file_bytes`] over those frames (or to
-/// [`stream_file_bytes_tiered`] for a v3 stream, with the header's cold
-/// count patched down if the truncation reached into the cold tier) —
-/// plus the [`RecoveryReport`]. Fails only when the header itself did not
-/// survive (nothing is recoverable without the partition count).
+/// byte-identical to a fresh write of those frames (for a v3 stream, to
+/// [`stream_file_bytes_tiered`] with the header's cold count patched down
+/// if the truncation reached into the cold tier) — plus the
+/// [`RecoveryReport`]. Fails only when the header itself did not survive
+/// (nothing is recoverable without the partition count).
 pub fn recover_stream(bytes: &[u8]) -> Result<(Vec<u8>, RecoveryReport), CodecError> {
-    let mut src = std::io::Cursor::new(bytes);
-    let scan = scan_frames_streaming(&mut src, bytes.len() as u64)?;
-    let prefix = to_usize(scan.valid_end, "valid prefix end")?;
-    let mut out = bytes[..prefix].to_vec();
-    if scan.version == STREAM_FILE_TIERED_VERSION && scan.cold_kept < scan.cold_declared {
-        out[12..16].copy_from_slice(&(scan.cold_kept as u32).to_le_bytes());
-    }
-    out.extend_from_slice(&encode_trailer(&scan.footers, scan.valid_end));
-    let report = RecoveryReport {
-        partitions: scan.partitions,
-        frames_kept: scan.footers.len(),
-        bytes_kept: scan.valid_end,
-        bytes_dropped: bytes.len() as u64 - scan.valid_end,
-    };
-    // "Truncated" means data was lost — a finished file's own trailer
-    // past the prefix (byte-identical to the one just rebuilt) is not.
-    // Losing declared cold frames is always loss.
-    let truncated = scan.cold_kept < scan.cold_declared || bytes[prefix..] != out[prefix..];
-    crate::obs::record_recovery(report.frames_kept, truncated);
+    let mut out = bytes.to_vec();
+    let (w, report) = StreamFileWriter::resume(Cursor::new(&mut out), SyncPolicy::Flush)?;
+    w.finish()?;
     Ok((out, report))
 }
 
-/// Appends each snapshot's containers to disk as the simulation produces
-/// them — the durable counterpart of the in-memory
-/// [`StreamWriter`](crate::stream::StreamWriter).
+/// Appends each snapshot's containers to a stream as the simulation
+/// produces them.
 ///
 /// Data-first, manifest-last: the header goes out at `create`, every
 /// `append_frame` writes containers then the frame footer and flushes, and
 /// `finish` appends the trailer that gives readers O(1) access. A process
 /// killed between frames loses nothing; killed mid-frame it loses only
 /// that frame, and [`StreamFileWriter::recover`] truncates the torn tail
-/// and returns a writer ready to append the re-run snapshot.
+/// and returns a writer ready to append the re-run snapshot. The store is
+/// a [`File`] by default; [`create_in`](StreamFileWriter::create_in)
+/// writes the same bytes to any other [`StreamStore`].
 #[derive(Debug)]
-pub struct StreamFileWriter {
-    file: File,
+pub struct StreamFileWriter<S = File> {
+    store: S,
+    /// Path of a file-backed stream (empty for other stores).
     path: PathBuf,
     partitions: usize,
     sync: SyncPolicy,
@@ -507,12 +514,12 @@ pub struct StreamFileWriter {
     footers: Vec<u64>,
     /// Current end-of-data offset (next frame starts here).
     cursor: u64,
-    /// Frames in the cold tier (0 until a compaction ran; appends are
-    /// always hot).
+    /// Frames in the cold tier: the frames below this index carry `FTR3`
+    /// footers. 0 until a compaction ran; appends are always hot.
     cold: usize,
 }
 
-impl StreamFileWriter {
+impl StreamFileWriter<File> {
     /// Create (truncating) a durable stream at `path` for frames of
     /// `partitions` containers each, writing the header immediately.
     /// Durability is [`SyncPolicy::Flush`]; use
@@ -528,31 +535,20 @@ impl StreamFileWriter {
         partitions: usize,
         sync: SyncPolicy,
     ) -> Result<Self, CodecError> {
-        if partitions == 0 {
-            // The durability layer's contract is "typed error, never a
-            // panic" — a zero-partition stream is a caller bug, but one
-            // that must surface as a Result like every other.
-            return Err(CodecError::Format("a stream frame needs at least one partition".into()));
-        }
+        // Checked before the file exists: a rejected stream leaves nothing
+        // on disk.
+        check_partitions(partitions)?;
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)
             .map_err(|e| io_err("create stream file", e))?;
-        file.write_all(&encode_header(partitions)).map_err(|e| io_err("write header", e))?;
-        file.flush().map_err(|e| io_err("flush header", e))?;
-        Ok(Self {
-            file,
-            path,
-            partitions,
-            sync,
-            footers: Vec::new(),
-            cursor: FILE_HEADER_LEN as u64,
-            cold: 0,
-        })
+        let mut w = Self::create_in(file, partitions, sync)?;
+        w.path = path;
+        Ok(w)
     }
 
     /// Re-open a crashed (or merely unfinished) stream: scan for the valid
@@ -573,35 +569,101 @@ impl StreamFileWriter {
         sync: SyncPolicy,
     ) -> Result<(Self, RecoveryReport), CodecError> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)
             .map_err(|e| io_err("open stream file", e))?;
-        let len = file.metadata().map_err(|e| io_err("stat stream file", e))?.len();
-        // The scan streams straight off the file handle: recovery of a
-        // stream far larger than RAM peaks at one container resident.
-        let scan = scan_frames_streaming(&mut file, len)?;
-        // Decide "truncated" before touching the file: data was lost
+        let (mut w, report) = Self::resume(file, sync)?;
+        w.path = path;
+        Ok((w, report))
+    }
+
+    /// Re-tier every frame older than `cfg.horizon` in one blocking pass —
+    /// [`CompactionTask::begin`] + every `step` + `finalize`. Returns
+    /// `None` when no frame is old enough. Servers that must stay
+    /// responsive drive the task form instead, one frame per idle slot.
+    pub fn compact<T: Scalar>(
+        &mut self,
+        cfg: CompactionConfig,
+    ) -> Result<Option<CompactionReport>, CodecError> {
+        let Some(mut task) = CompactionTask::begin(self, cfg)? else {
+            return Ok(None);
+        };
+        while !task.step::<T>()? {}
+        Ok(Some(task.finalize(self)?))
+    }
+
+    /// Path this writer appends to.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl<S: StreamStore> StreamFileWriter<S> {
+    /// Start a fresh `STRM` v2 stream in `store`, replacing whatever it
+    /// held: [`create_with`](StreamFileWriter::create_with) for any store.
+    /// Over `Cursor::new(&mut bytes)` it builds in memory exactly the bytes
+    /// a file-backed writer puts on disk.
+    pub fn create_in(store: S, partitions: usize, sync: SyncPolicy) -> Result<Self, CodecError> {
+        Self::start(store, partitions, None, sync)
+    }
+
+    /// Empty `store`, write a v2 header (v3 when `cold` declares a cold
+    /// tier), and return a writer positioned after it.
+    fn start(
+        mut store: S,
+        partitions: usize,
+        cold: Option<usize>,
+        sync: SyncPolicy,
+    ) -> Result<Self, CodecError> {
+        check_partitions(partitions)?;
+        store.truncate(0).map_err(|e| io_err("truncate stream", e))?;
+        store.seek(SeekFrom::Start(0)).map_err(|e| io_err("seek stream", e))?;
+        store.write_all(&encode_header(partitions, cold)).map_err(|e| io_err("write header", e))?;
+        store.flush().map_err(|e| io_err("flush header", e))?;
+        Ok(Self {
+            store,
+            path: PathBuf::new(),
+            partitions,
+            sync,
+            footers: Vec::new(),
+            cursor: FILE_HEADER_LEN as u64,
+            cold: cold.unwrap_or(0),
+        })
+    }
+
+    /// The one recovery routine behind [`recover_stream`] and
+    /// [`StreamFileWriter::recover_with`]: scan the frames forward from the
+    /// header (never trusting a trailer), decide whether data was lost,
+    /// patch a v3 header's cold count down to the cold frames kept, cut the
+    /// store to the valid prefix, and report.
+    fn resume(mut store: S, sync: SyncPolicy) -> Result<(Self, RecoveryReport), CodecError> {
+        let len = store.seek(SeekFrom::End(0)).map_err(|e| io_err("seek stream", e))?;
+        // The scan streams straight off the store: recovery of a stream
+        // far larger than RAM peaks at one container resident.
+        let scan = scan_frames_streaming(&mut store, len)?;
+        // Decide "truncated" before touching the store: data was lost
         // unless the bytes past the prefix are exactly the trailer a
-        // finished file would carry (and no declared cold frame died).
+        // finished stream would carry (and no declared cold frame died).
         let rebuilt = encode_trailer(&scan.footers, scan.valid_end);
-        let tail_len = len - scan.valid_end;
-        let mut truncated = scan.cold_kept < scan.cold_declared || tail_len != rebuilt.len() as u64;
-        if !truncated && tail_len > 0 {
+        let mut truncated =
+            scan.cold_kept < scan.cold_declared || len - scan.valid_end != rebuilt.len() as u64;
+        if !truncated {
             let mut tail = vec![0u8; rebuilt.len()];
-            read_exact_at(&mut file, scan.valid_end, &mut tail)?;
+            read_exact_at(&mut store, scan.valid_end, &mut tail)?;
             truncated = tail != rebuilt;
         }
-        if scan.version == STREAM_FILE_TIERED_VERSION && scan.cold_kept < scan.cold_declared {
-            // The truncation reached into the cold tier: patch the
-            // header's cold count so the file stays self-consistent.
-            file.seek(SeekFrom::Start(12)).map_err(|e| io_err("seek to header", e))?;
-            file.write_all(&(scan.cold_kept as u32).to_le_bytes())
+        if scan.cold_kept < scan.cold_declared {
+            // The truncation reached into a v3 cold tier: patch the
+            // header's cold count so the stream stays self-consistent.
+            store.seek(SeekFrom::Start(12)).map_err(|e| io_err("seek to header", e))?;
+            store
+                .write_all(&(scan.cold_kept as u32).to_le_bytes())
                 .map_err(|e| io_err("patch cold frame count", e))?;
         }
-        file.set_len(scan.valid_end).map_err(|e| io_err("truncate to valid prefix", e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek to end", e))?;
+        store.truncate(scan.valid_end).map_err(|e| io_err("truncate to valid prefix", e))?;
+        store.seek(SeekFrom::End(0)).map_err(|e| io_err("seek to end", e))?;
         let report = RecoveryReport {
             partitions: scan.partitions,
             frames_kept: scan.footers.len(),
@@ -610,8 +672,8 @@ impl StreamFileWriter {
         };
         crate::obs::record_recovery(report.frames_kept, truncated);
         let w = Self {
-            file,
-            path,
+            store,
+            path: PathBuf::new(),
             partitions: scan.partitions,
             sync,
             footers: scan.footers,
@@ -621,40 +683,56 @@ impl StreamFileWriter {
         Ok((w, report))
     }
 
+    /// The one frame encoder: write `containers` (partition-id order) at
+    /// the cursor, then the frame's footer — `FTR3` inside the declared
+    /// cold tier, `FTR2` past it — and record the frame in the manifest.
+    /// Returns the bytes written. Appends, compaction's cold and rebased
+    /// hot frames, and the in-memory tiered builder all write through here.
+    fn write_frame<'a>(
+        &mut self,
+        containers: impl ExactSizeIterator<Item = &'a [u8]>,
+    ) -> Result<u64, CodecError> {
+        if containers.len() != self.partitions {
+            return Err(CodecError::Format(format!(
+                "frame has {} partitions, stream expects {}",
+                containers.len(),
+                self.partitions
+            )));
+        }
+        let mut offsets = Vec::with_capacity(self.partitions + 1);
+        let mut end = self.cursor;
+        for c in containers {
+            offsets.push(end);
+            self.store.write_all(c).map_err(|e| io_err("write container", e))?;
+            end += c.len() as u64;
+        }
+        offsets.push(end);
+        let footer = encode_footer(self.footers.len(), self.cold, &offsets);
+        self.store.write_all(&footer).map_err(|e| io_err("write frame footer", e))?;
+        let written = end + footer.len() as u64 - self.cursor;
+        self.footers.push(end);
+        self.cursor = end + footer.len() as u64;
+        Ok(written)
+    }
+
     /// Append one snapshot's containers (partition-id order) and flush.
-    /// After this returns, the frame survives any crash.
+    /// After this returns, the frame survives any crash. A frame whose
+    /// partition count differs from the stream's is a typed error and
+    /// writes nothing.
     pub fn append_frame(&mut self, containers: &[Container]) -> Result<(), CodecError> {
-        assert_eq!(
-            containers.len(),
-            self.partitions,
-            "frame has {} partitions, stream expects {}",
-            containers.len(),
-            self.partitions
-        );
         let obs = crate::obs::stream_file_metrics();
         let _span = telemetry::span(&obs.append_ns);
-        let mut offsets = Vec::with_capacity(self.partitions + 1);
-        let mut cursor = self.cursor;
-        for c in containers {
-            offsets.push(cursor);
-            self.file.write_all(c.as_bytes()).map_err(|e| io_err("write container", e))?;
-            cursor += c.as_bytes().len() as u64;
-        }
-        offsets.push(cursor);
-        let footer = encode_footer(self.footers.len() as u32, &offsets);
-        self.file.write_all(&footer).map_err(|e| io_err("write frame footer", e))?;
+        let written = self.write_frame(containers.iter().map(Container::as_bytes))?;
         let sync_started = std::time::Instant::now();
-        self.file.flush().map_err(|e| io_err("flush frame", e))?;
+        self.store.flush().map_err(|e| io_err("flush frame", e))?;
         if self.sync == SyncPolicy::SyncPerFrame {
             // sync_data covers every dirty byte of the file, so the header
             // (and any earlier frame) rides along with the first sync.
-            self.file.sync_data().map_err(|e| io_err("sync frame", e))?;
+            self.store.sync().map_err(|e| io_err("sync frame", e))?;
         }
         obs.sync_ns.record(sync_started.elapsed().as_nanos() as u64);
-        obs.append_bytes.add(cursor - self.cursor + footer.len() as u64);
+        obs.append_bytes.add(written);
         obs.frames.inc();
-        self.footers.push(cursor);
-        self.cursor = cursor + footer.len() as u64;
         Ok(())
     }
 
@@ -673,43 +751,24 @@ impl StreamFileWriter {
         self.cold
     }
 
-    /// Re-tier every frame older than `cfg.horizon` in one blocking pass —
-    /// [`CompactionTask::begin`] + every `step` + `finalize`. Returns
-    /// `None` when no frame is old enough. Servers that must stay
-    /// responsive drive the task form instead, one frame per idle slot.
-    pub fn compact<T: Scalar>(
-        &mut self,
-        cfg: CompactionConfig,
-    ) -> Result<Option<CompactionReport>, CodecError> {
-        let Some(mut task) = CompactionTask::begin(self, cfg)? else {
-            return Ok(None);
-        };
-        while !task.step::<T>()? {}
-        Ok(Some(task.finalize(self)?))
-    }
-
     /// Partitions per frame.
     pub fn partitions(&self) -> usize {
         self.partitions
     }
 
-    /// Path this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Append the trailer and flush, completing the stream. Returns the
-    /// total file length. The file stays recoverable (and thus readable
-    /// after a [`recover`](StreamFileWriter::recover) pass) even if this
-    /// is never called — the trailer only buys trailer-based O(1) opens.
+    /// total stream length. The stream stays recoverable (and thus
+    /// readable after a [`recover`](StreamFileWriter::recover) pass) even
+    /// if this is never called — the trailer only buys trailer-based O(1)
+    /// opens.
     pub fn finish(mut self) -> Result<u64, CodecError> {
         let trailer = encode_trailer(&self.footers, self.cursor);
-        self.file.write_all(&trailer).map_err(|e| io_err("write trailer", e))?;
-        self.file.flush().map_err(|e| io_err("flush trailer", e))?;
+        self.store.write_all(&trailer).map_err(|e| io_err("write trailer", e))?;
+        self.store.flush().map_err(|e| io_err("flush trailer", e))?;
         if self.sync != SyncPolicy::Flush {
             // SyncPerFrame syncs here too so the trailer itself is as
             // durable as the frames it indexes.
-            self.file.sync_data().map_err(|e| io_err("sync trailer", e))?;
+            self.store.sync().map_err(|e| io_err("sync trailer", e))?;
         }
         Ok(self.cursor + trailer.len() as u64)
     }
@@ -778,10 +837,9 @@ pub struct CompactionTask {
     cfg: CompactionConfig,
     /// Independent read handle on the original stream.
     src: File,
-    tmp: File,
-    tmp_path: PathBuf,
-    partitions: usize,
-    flen: usize,
+    /// Writer over the temp file. Its header declares the cold tier this
+    /// run produces, so its frames below `cold_end` get `FTR3` footers.
+    out: StreamFileWriter,
     /// Frames that were already cold (copied verbatim by `begin`).
     cold_start: usize,
     /// First frame that stays hot after this run.
@@ -791,22 +849,9 @@ pub struct CompactionTask {
     /// Footer offsets in the original file for frames `0..cold_end`,
     /// captured at `begin` time.
     orig_footers: Vec<u64>,
-    /// Footer offsets in the compacted file, built as frames land.
-    new_footers: Vec<u64>,
-    /// Write cursor in the temp file.
-    cursor: u64,
-    /// Reused I/O buffer for the hot-frame rebase.
-    scratch: Vec<u8>,
+    /// Reused per-partition buffers for the hot-frame rebase.
+    scratch: Vec<Vec<u8>>,
     finalized: bool,
-}
-
-/// End of the data region covering the first `upto` frames.
-fn frames_end(footers: &[u64], upto: usize, flen: usize) -> u64 {
-    if upto == 0 {
-        FILE_HEADER_LEN as u64
-    } else {
-        footers[upto - 1] + flen as u64
-    }
 }
 
 impl CompactionTask {
@@ -823,7 +868,6 @@ impl CompactionTask {
                 cfg.eb
             )));
         }
-        let flen = footer_len(writer.partitions);
         let cold_end = writer.footers.len().saturating_sub(cfg.horizon);
         if cold_end <= writer.cold {
             return Ok(None);
@@ -833,32 +877,41 @@ impl CompactionTask {
         let mut tmp_os = writer.path.clone().into_os_string();
         tmp_os.push(".compact");
         let tmp_path = PathBuf::from(tmp_os);
-        let mut tmp = OpenOptions::new()
+        let tmp = OpenOptions::new()
+            .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(&tmp_path)
             .map_err(|e| io_err("create compaction temp file", e))?;
-        tmp.write_all(&encode_tiered_header(writer.partitions, cold_end))
-            .map_err(|e| io_err("write tiered header", e))?;
+        let mut out = StreamFileWriter::start(tmp, writer.partitions, Some(cold_end), writer.sync)?;
+        out.path = tmp_path;
         // The already-cold prefix is re-used byte-for-byte: the header is
         // the same length, so its absolute offsets still hold.
-        let prefix_end = frames_end(&writer.footers, writer.cold, flen);
-        copy_range(&mut src, FILE_HEADER_LEN as u64, prefix_end, &mut tmp)?;
+        let prefix_end = match writer.cold {
+            0 => FILE_HEADER_LEN as u64,
+            cold => writer.footers[cold - 1] + footer_len(writer.partitions) as u64,
+        };
+        let prefix_len = prefix_end - FILE_HEADER_LEN as u64;
+        src.seek(SeekFrom::Start(FILE_HEADER_LEN as u64)).map_err(|e| io_err("seek stream", e))?;
+        let copied = std::io::copy(&mut (&mut src).take(prefix_len), &mut out.store)
+            .map_err(|e| io_err("copy cold prefix", e))?;
+        if copied != prefix_len {
+            return Err(CodecError::Io(format!(
+                "stream ended {copied} bytes into a {prefix_len}-byte cold prefix"
+            )));
+        }
+        out.footers = writer.footers[..writer.cold].to_vec();
+        out.cursor = prefix_end;
         crate::obs::record_compaction_started(cold_end - writer.cold);
         Ok(Some(Self {
             cfg,
             src,
-            tmp,
-            tmp_path,
-            partitions: writer.partitions,
-            flen,
+            out,
             cold_start: writer.cold,
             cold_end,
             next: writer.cold,
             orig_footers: writer.footers[..cold_end].to_vec(),
-            new_footers: writer.footers[..writer.cold].to_vec(),
-            cursor: prefix_end,
             scratch: Vec::new(),
             finalized: false,
         }))
@@ -879,13 +932,10 @@ impl CompactionTask {
     /// Read and verify the hot footer of frame `index` at offset `fo` in
     /// the original file, returning its container offsets.
     fn read_frame_offsets(&mut self, index: usize, fo: u64) -> Result<Vec<u64>, CodecError> {
-        let mut footer = vec![0u8; self.flen];
+        let mut footer = vec![0u8; footer_len(self.out.partitions)];
         read_exact_at(&mut self.src, fo, &mut footer)?;
-        let offsets: Vec<u64> = footer[8..self.flen - 8]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        if footer != encode_footer(index as u32, &offsets) {
+        let offsets = le_u64s(&footer[8..footer.len() - 8]);
+        if footer != encode_footer(index, 0, &offsets) {
             return Err(CodecError::Format(format!(
                 "frame {index} footer is corrupt (magic, index, or checksum)"
             )));
@@ -912,26 +962,16 @@ impl CompactionTask {
         }
         let i = self.next;
         let offsets = self.read_frame_offsets(i, self.orig_footers[i])?;
-        let mut new_offsets = Vec::with_capacity(self.partitions + 1);
-        for p in 0..self.partitions {
-            let n = Self::span_len(i, &offsets, p)?;
-            let mut buf = vec![0u8; n];
+        let mut frame = Vec::with_capacity(offsets.len() - 1);
+        for p in 0..offsets.len() - 1 {
+            let mut buf = vec![0u8; Self::span_len(i, &offsets, p)?];
             read_exact_at(&mut self.src, offsets[p], &mut buf)?;
             let c = Container::from_bytes(buf)?;
             let brick = c.decode_field::<T>()?;
             let codec = self.cfg.codec.unwrap_or(c.codec());
-            let re = Container::compress(codec, brick.as_slice(), brick.dims(), self.cfg.eb);
-            new_offsets.push(self.cursor);
-            self.tmp
-                .write_all(re.as_bytes())
-                .map_err(|e| io_err("write compacted container", e))?;
-            self.cursor += re.as_bytes().len() as u64;
+            frame.push(Container::compress(codec, brick.as_slice(), brick.dims(), self.cfg.eb));
         }
-        new_offsets.push(self.cursor);
-        let footer = encode_cold_footer(i as u32, &new_offsets);
-        self.tmp.write_all(&footer).map_err(|e| io_err("write cold footer", e))?;
-        self.new_footers.push(self.cursor);
-        self.cursor += footer.len() as u64;
+        self.out.write_frame(frame.iter().map(Container::as_bytes))?;
         self.next += 1;
         Ok(self.next == self.cold_end)
     }
@@ -954,51 +994,36 @@ impl CompactionTask {
         // absolute offsets, which the shrunken cold tier shifted.
         for f in self.cold_end..writer.footers.len() {
             let offsets = self.read_frame_offsets(f, writer.footers[f])?;
-            let mut new_offsets = Vec::with_capacity(self.partitions + 1);
-            for p in 0..self.partitions {
-                let n = Self::span_len(f, &offsets, p)?;
-                self.scratch.clear();
-                self.scratch.resize(n, 0);
-                let start = offsets[p];
-                read_exact_at(&mut self.src, start, &mut self.scratch)?;
-                new_offsets.push(self.cursor);
-                self.tmp
-                    .write_all(&self.scratch)
-                    .map_err(|e| io_err("write rebased container", e))?;
-                self.cursor += n as u64;
+            self.scratch.resize_with(offsets.len() - 1, Vec::new);
+            for (p, buf) in self.scratch.iter_mut().enumerate() {
+                buf.clear();
+                buf.resize(Self::span_len(f, &offsets, p)?, 0);
+                read_exact_at(&mut self.src, offsets[p], buf)?;
             }
-            new_offsets.push(self.cursor);
-            let footer = encode_footer(f as u32, &new_offsets);
-            self.tmp.write_all(&footer).map_err(|e| io_err("write rebased footer", e))?;
-            self.new_footers.push(self.cursor);
-            self.cursor += footer.len() as u64;
+            self.out.write_frame(self.scratch.iter().map(Vec::as_slice))?;
         }
-        self.tmp.flush().map_err(|e| io_err("flush compacted stream", e))?;
-        if writer.sync == SyncPolicy::SyncPerFrame {
+        self.out.store.flush().map_err(|e| io_err("flush compacted stream", e))?;
+        if self.out.sync == SyncPolicy::SyncPerFrame {
             // Frames were power-loss durable before; they must still be
             // after the rename, so the compacted bytes sync first.
-            self.tmp.sync_data().map_err(|e| io_err("sync compacted stream", e))?;
+            self.out.store.sync().map_err(|e| io_err("sync compacted stream", e))?;
         }
-        std::fs::rename(&self.tmp_path, &writer.path)
+        std::fs::rename(&self.out.path, &writer.path)
             .map_err(|e| io_err("publish compacted stream", e))?;
         self.finalized = true;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&writer.path)
-            .map_err(|e| io_err("reopen compacted stream", e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek to end", e))?;
-        writer.file = file;
-        writer.footers = std::mem::take(&mut self.new_footers);
-        writer.cursor = self.cursor;
+        // The temp writer now describes the published stream: its handle
+        // (positioned at the end) and manifest become the writer's.
+        std::mem::swap(&mut writer.store, &mut self.out.store);
+        writer.footers = std::mem::take(&mut self.out.footers);
+        writer.cursor = self.out.cursor;
         writer.cold = self.cold_end;
         let report = CompactionReport {
             frames_compacted,
             cold_frames: self.cold_end,
             bytes_before,
-            bytes_after: self.cursor,
+            bytes_after: writer.cursor,
         };
-        crate::obs::record_compaction_completed(frames_compacted, bytes_before, self.cursor);
+        crate::obs::record_compaction_completed(frames_compacted, bytes_before, writer.cursor);
         Ok(report)
     }
 }
@@ -1008,7 +1033,7 @@ impl Drop for CompactionTask {
         if !self.finalized {
             // Abandoned mid-run (error or shutdown): the temp file is
             // garbage, the original stream was never touched.
-            let _ = std::fs::remove_file(&self.tmp_path);
+            let _ = std::fs::remove_file(&self.out.path);
         }
     }
 }
@@ -1027,71 +1052,8 @@ pub fn compact_stream_file<T: Scalar>(
     Ok(report)
 }
 
-/// Byte source a [`StreamFileReader`] serves random access from: a file,
-/// or any in-memory byte store. `read_at` must fill the whole buffer.
-pub trait StreamSource {
-    /// Total bytes available.
-    fn len(&self) -> u64;
-
-    /// True when the source holds no bytes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Read exactly `buf.len()` bytes starting at `offset`. Callers
-    /// bounds-check against [`StreamSource::len`] first; short reads are
-    /// errors.
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), CodecError>;
-}
-
-impl StreamSource for &[u8] {
-    fn len(&self) -> u64 {
-        <[u8]>::len(self) as u64
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), CodecError> {
-        let start = to_usize(offset, "read offset")?;
-        let end = start
-            .checked_add(buf.len())
-            .filter(|&e| e <= <[u8]>::len(self))
-            .ok_or_else(|| CodecError::Format("read past end of stream bytes".into()))?;
-        buf.copy_from_slice(&self[start..end]);
-        Ok(())
-    }
-}
-
-/// Positioned reads over a [`File`] — the mutex serialises the seek+read
-/// pair (std's positional `read_exact_at` is unix-only; this stays
-/// portable and the lock is invisible next to decode cost).
-#[derive(Debug)]
-pub struct FileSource {
-    file: Mutex<File>,
-    len: u64,
-}
-
-impl FileSource {
-    /// Open `path` read-only.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, CodecError> {
-        let file = File::open(path).map_err(|e| io_err("open stream file", e))?;
-        let len = file.metadata().map_err(|e| io_err("stat stream file", e))?.len();
-        Ok(Self { file: Mutex::new(file), len })
-    }
-}
-
-impl StreamSource for FileSource {
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), CodecError> {
-        if offset.checked_add(buf.len() as u64).is_none_or(|end| end > self.len) {
-            return Err(CodecError::Format("read past end of stream file".into()));
-        }
-        let mut file = self.file.lock().expect("file source lock");
-        file.seek(SeekFrom::Start(offset)).map_err(|e| io_err("seek stream file", e))?;
-        file.read_exact(buf).map_err(|e| io_err("read stream file", e))
-    }
-}
+/// The source type [`StreamFileReader::open`] reads a stream file through.
+pub type FileSource = File;
 
 /// Frames whose validated manifests a [`StreamFileReader`] keeps resident
 /// by default. Sized so a sequential scan re-validates nothing and a
@@ -1124,129 +1086,185 @@ impl ManifestWindow {
     }
 }
 
-/// O(1) random access over a finished durable stream without loading the
-/// payload region — or the manifest. Open cost is header + trailer
-/// checksum (streamed in chunks); frame footers are validated lazily on
-/// first touch and cached in a bounded window, so the resident set is
-/// O(frames-in-window) however long the stream. Each container access
-/// reads exactly its own bytes from the source.
-#[derive(Debug)]
-pub struct StreamFileReader<S> {
-    source: S,
+/// Where a reader finds each frame's manifest.
+#[derive(Debug, Clone, Copy)]
+enum Index {
+    /// `STRM` v1: the checksummed offset table right after the header.
+    Table,
+    /// `STRM` v2/v3: per-frame footers, located through the trailer that
+    /// starts at this offset.
+    Trailer(u64),
+}
+
+/// Verify a v1 stream's offset table — bounds, checksum, and its first
+/// and last entries — without loading it. The entries in between are
+/// checked per frame as the reader touches them.
+fn open_table<R: Read + Seek>(
+    src: &mut R,
+    len: u64,
     partitions: usize,
     frames: usize,
-    /// Frames `0..cold_frames` are the cold tier (v3 streams; 0 for v2).
+) -> Result<(), CodecError> {
+    if len < LEGACY_HEADER_LEN {
+        return Err(CodecError::Format("stream shorter than header".into()));
+    }
+    let table_end = (frames as u64)
+        .checked_mul(partitions as u64)
+        .and_then(|n| n.checked_add(1))
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|n| n.checked_add(LEGACY_HEADER_LEN))
+        .filter(|&end| end <= len)
+        .ok_or_else(|| CodecError::Format("offset table truncated".into()))?;
+    let stored = read_u64_at(src, 16)?;
+    let actual = checksum_range(src, LEGACY_HEADER_LEN, table_end)?;
+    if actual != stored {
+        return Err(CodecError::Format(format!(
+            "offset-table checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+        )));
+    }
+    let first = read_u64_at(src, LEGACY_HEADER_LEN)?;
+    if first != table_end {
+        return Err(CodecError::Format(format!(
+            "first offset {first} does not start at the payload region {table_end}"
+        )));
+    }
+    let last = read_u64_at(src, table_end - 8)?;
+    if last != len {
+        return Err(CodecError::Format(format!(
+            "final offset {last} does not match stream length {len}"
+        )));
+    }
+    Ok(())
+}
+
+/// Locate a v2/v3 trailer through the back-pointer in the last 8 bytes
+/// and verify it, returning `(frames, trailer_start)`. The trailer body is
+/// 8 bytes per frame — the one O(stream) structure — so it is checksummed
+/// in bounded chunks and never becomes resident.
+fn open_trailer<R: Read + Seek>(src: &mut R, len: u64) -> Result<(usize, u64), CodecError> {
+    if len < (FILE_HEADER_LEN + trailer_len(0)) as u64 {
+        return Err(CodecError::Format("stream file shorter than header + trailer".into()));
+    }
+    let trailer_start = read_u64_at(src, len - 8)?;
+    if trailer_start < FILE_HEADER_LEN as u64 || trailer_start >= len {
+        return Err(CodecError::Format(format!(
+            "trailer back-pointer {trailer_start} outside stream of {len} bytes"
+        )));
+    }
+    let tlen = to_usize(len - trailer_start, "trailer length")?;
+    let mut head8 = [0u8; 8];
+    if tlen < trailer_len(0) {
+        return Err(CodecError::Format("bad stream trailer magic".into()));
+    }
+    read_exact_at(src, trailer_start, &mut head8)?;
+    if &head8[..4] != TRAILER_MAGIC {
+        return Err(CodecError::Format("bad stream trailer magic".into()));
+    }
+    let frames = u32::from_le_bytes(head8[4..8].try_into().expect("4 bytes")) as usize;
+    if trailer_len(frames) != tlen {
+        return Err(CodecError::Format(format!(
+            "trailer declares {frames} frames but spans {tlen} bytes"
+        )));
+    }
+    let body_end = trailer_start + (tlen - 16) as u64;
+    let computed = checksum_range(src, trailer_start, body_end)?;
+    let stored = read_u64_at(src, body_end)?;
+    if stored != computed {
+        return Err(CodecError::Format(format!(
+            "trailer checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+        )));
+    }
+    Ok((frames, trailer_start))
+}
+
+/// O(1) random access over a finished stream of any version without
+/// loading the payload region — or the manifest. Open cost is the header
+/// plus a chunked checksum of the trailer (v2/v3) or offset table (v1);
+/// per-frame manifests are validated lazily on first touch and cached in a
+/// bounded window, so the resident set is O(frames-in-window) however long
+/// the stream. Each container access reads exactly its own bytes from the
+/// source.
+#[derive(Debug)]
+pub struct StreamFileReader<R = File> {
+    /// The mutex serialises each seek+read pair, so `&self` reads (and a
+    /// parallel per-frame decode) share one handle.
+    source: Mutex<R>,
+    len: u64,
+    partitions: usize,
+    frames: usize,
+    /// Frames `0..cold_frames` are the cold tier (v3 streams; 0 otherwise).
     cold_frames: usize,
-    trailer_start: u64,
-    flen: usize,
+    index: Index,
     window: Mutex<ManifestWindow>,
 }
 
-impl StreamFileReader<FileSource> {
+impl StreamFileReader<File> {
     /// Open a finished stream file. Crashed files (no trailer) must go
     /// through [`StreamFileWriter::recover`] first.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CodecError> {
-        Self::from_source(FileSource::open(path)?)
+        Self::from_source(File::open(path).map_err(|e| io_err("open stream file", e))?)
     }
 }
 
-impl<S: StreamSource> StreamFileReader<S> {
-    /// Validate header and trailer over `source` with the default
-    /// manifest window. Frame footers are validated lazily per access;
-    /// call [`validate_all`](StreamFileReader::validate_all) to force the
-    /// eager whole-stream walk up front.
-    pub fn from_source(source: S) -> Result<Self, CodecError> {
+impl<R: Read + Seek> StreamFileReader<R> {
+    /// Validate the header and the trailer (or v1 offset table) of the
+    /// stream in `source` with the default manifest window. Per-frame
+    /// manifests are validated lazily per access; call
+    /// [`validate_all`](StreamFileReader::validate_all) to force the eager
+    /// whole-stream walk up front.
+    pub fn from_source(source: R) -> Result<Self, CodecError> {
         Self::from_source_with(source, DEFAULT_MANIFEST_WINDOW)
     }
 
     /// [`from_source`](StreamFileReader::from_source) with an explicit
     /// manifest-window capacity (clamped to at least one frame).
-    pub fn from_source_with(source: S, window: usize) -> Result<Self, CodecError> {
-        let len = source.len();
-        let mut header = [0u8; FILE_HEADER_LEN];
-        if len < (FILE_HEADER_LEN + trailer_len(0)) as u64 {
-            return Err(CodecError::Format("stream file shorter than header + trailer".into()));
+    pub fn from_source_with(mut source: R, window: usize) -> Result<Self, CodecError> {
+        let len = source.seek(SeekFrom::End(0)).map_err(|e| io_err("seek stream", e))?;
+        if len < FILE_HEADER_LEN as u64 {
+            return Err(CodecError::Format("stream shorter than header".into()));
         }
-        source.read_at(0, &mut header)?;
+        let mut header = [0u8; FILE_HEADER_LEN];
+        read_exact_at(&mut source, 0, &mut header)?;
         if &header[..4] != MAGIC {
-            return Err(CodecError::Format("bad stream-file magic".into()));
+            return Err(CodecError::Format("bad stream magic".into()));
         }
         let version = header[4];
-        if version != STREAM_FILE_VERSION && version != STREAM_FILE_TIERED_VERSION {
-            return Err(CodecError::Format(format!("unsupported stream-file version {version}")));
-        }
         let partitions = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
         if partitions == 0 {
-            return Err(CodecError::Format("stream file declares zero partitions".into()));
+            return Err(CodecError::Format("stream declares zero partitions".into()));
         }
-        let cold_frames = if version == STREAM_FILE_TIERED_VERSION {
-            u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize
-        } else {
-            0
+        // v1: the frame count; v3: the cold frame count; v2: reserved.
+        let word = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize;
+        let (frames, cold_frames, index) = match version {
+            LEGACY_VERSION => {
+                open_table(&mut source, len, partitions, word)?;
+                (word, 0, Index::Table)
+            }
+            STREAM_FILE_VERSION | STREAM_FILE_TIERED_VERSION => {
+                let (frames, trailer_start) = open_trailer(&mut source, len)?;
+                let cold = if version == STREAM_FILE_TIERED_VERSION { word } else { 0 };
+                if cold > frames {
+                    return Err(CodecError::Format(format!(
+                        "tiered header declares {cold} cold frames but the stream holds {frames}"
+                    )));
+                }
+                if frames == 0 && trailer_start != FILE_HEADER_LEN as u64 {
+                    return Err(CodecError::Format(format!(
+                        "data region ends at {FILE_HEADER_LEN} but the trailer starts at \
+                         {trailer_start}"
+                    )));
+                }
+                (frames, cold, Index::Trailer(trailer_start))
+            }
+            v => return Err(CodecError::Format(format!("unsupported stream version {v}"))),
         };
-
-        // Locate the trailer through the back-pointer in the last 8 bytes.
-        let mut tail = [0u8; 8];
-        source.read_at(len - 8, &mut tail)?;
-        let trailer_start = u64::from_le_bytes(tail);
-        if trailer_start < FILE_HEADER_LEN as u64 || trailer_start >= len {
-            return Err(CodecError::Format(format!(
-                "trailer back-pointer {trailer_start} outside stream of {len} bytes"
-            )));
-        }
-        let tlen = to_usize(len - trailer_start, "trailer length")?;
-        let mut head8 = [0u8; 8];
-        if tlen < trailer_len(0) {
-            return Err(CodecError::Format("bad stream trailer magic".into()));
-        }
-        source.read_at(trailer_start, &mut head8)?;
-        if &head8[..4] != TRAILER_MAGIC {
-            return Err(CodecError::Format("bad stream trailer magic".into()));
-        }
-        let frames = u32::from_le_bytes(head8[4..8].try_into().expect("4 bytes")) as usize;
-        if trailer_len(frames) != tlen {
-            return Err(CodecError::Format(format!(
-                "trailer declares {frames} frames but spans {tlen} bytes"
-            )));
-        }
-        // Checksum the trailer body in bounded chunks — the body is
-        // 8 bytes per frame, the one O(stream) structure, and it never
-        // becomes resident here.
-        let body_end = trailer_start + (tlen - 16) as u64;
-        let mut h = FNV1A64_SEED;
-        let mut chunk = [0u8; 4096];
-        let mut pos = trailer_start;
-        while pos < body_end {
-            let n = ((body_end - pos) as usize).min(chunk.len());
-            source.read_at(pos, &mut chunk[..n])?;
-            h = fnv1a64_update(h, &chunk[..n]);
-            pos += n as u64;
-        }
-        let mut stored = [0u8; 8];
-        source.read_at(body_end, &mut stored)?;
-        let stored_fnv = u64::from_le_bytes(stored);
-        if stored_fnv != h {
-            return Err(CodecError::Format(format!(
-                "trailer checksum mismatch: stored {stored_fnv:#018x}, computed {h:#018x}"
-            )));
-        }
-        if cold_frames > frames {
-            return Err(CodecError::Format(format!(
-                "tiered header declares {cold_frames} cold frames but the stream holds {frames}"
-            )));
-        }
-        if frames == 0 && trailer_start != FILE_HEADER_LEN as u64 {
-            return Err(CodecError::Format(format!(
-                "data region ends at {FILE_HEADER_LEN} but the trailer starts at {trailer_start}"
-            )));
-        }
         Ok(Self {
-            source,
+            source: Mutex::new(source),
+            len,
             partitions,
             frames,
             cold_frames,
-            trailer_start,
-            flen: footer_len(partitions),
+            index,
             window: Mutex::new(ManifestWindow {
                 capacity: window.max(1),
                 entries: VecDeque::new(),
@@ -1254,42 +1272,71 @@ impl<S: StreamSource> StreamFileReader<S> {
         })
     }
 
-    /// One footer offset out of the trailer's index.
-    fn footer_offset(&self, frame: usize) -> Result<u64, CodecError> {
+    /// Fill `buf` from `pos`, refusing reads past the end of the stream.
+    fn read_at(&self, pos: u64, buf: &mut [u8]) -> Result<(), CodecError> {
+        if pos.checked_add(buf.len() as u64).is_none_or(|end| end > self.len) {
+            return Err(CodecError::Format("read past end of stream".into()));
+        }
+        let mut source = self.source.lock().expect("stream source lock poisoned by a panic");
+        read_exact_at(&mut *source, pos, buf)
+    }
+
+    fn u64_at(&self, pos: u64) -> Result<u64, CodecError> {
         let mut b = [0u8; 8];
-        self.source.read_at(self.trailer_start + 8 + 8 * frame as u64, &mut b)?;
+        self.read_at(pos, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
     /// The validated manifest of one frame: `partitions` container starts
-    /// plus the footer start. Window hit or one footer read + validation
-    /// (magic, tier, index, checksum, contiguous tiling against the
-    /// previous frame's footer).
+    /// plus the end of the frame's data. Window hit, or one read of the v1
+    /// table slice or the v2/v3 footer, validated.
     fn frame_offsets(&self, frame: usize) -> Result<Arc<Vec<u64>>, CodecError> {
         if let Some(hit) = self.window.lock().expect("manifest window lock").get(frame) {
             return Ok(hit);
         }
-        let fo = self.footer_offset(frame)?;
-        let flen = self.flen as u64;
+        let offsets = Arc::new(match self.index {
+            Index::Table => self.table_manifest(frame)?,
+            Index::Trailer(trailer_start) => self.footer_manifest(frame, trailer_start)?,
+        });
+        self.window.lock().expect("manifest window lock").insert(frame, offsets.clone());
+        Ok(offsets)
+    }
+
+    /// v1: the P+1 table entries from the frame's first container to the
+    /// next frame's (or the stream end). Open checked the table's bounds
+    /// and checksum; the entries must not decrease.
+    fn table_manifest(&self, frame: usize) -> Result<Vec<u64>, CodecError> {
+        let mut raw = vec![0u8; 8 * (self.partitions + 1)];
+        self.read_at(LEGACY_HEADER_LEN + 8 * (frame * self.partitions) as u64, &mut raw)?;
+        let offsets = le_u64s(&raw);
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(CodecError::Format("offset table is not monotone".into()));
+        }
+        Ok(offsets)
+    }
+
+    /// v2/v3: one footer read + validation (magic, tier, index, checksum,
+    /// contiguous tiling against the previous frame's footer).
+    fn footer_manifest(&self, frame: usize, trailer_start: u64) -> Result<Vec<u64>, CodecError> {
+        let footer_offset = |f: usize| self.u64_at(trailer_start + 8 + 8 * f as u64);
+        let fo = footer_offset(frame)?;
+        let flen = footer_len(self.partitions) as u64;
         let expected_start = if frame == 0 {
             FILE_HEADER_LEN as u64
         } else {
-            self.footer_offset(frame - 1)?.checked_add(flen).ok_or_else(|| {
+            footer_offset(frame - 1)?.checked_add(flen).ok_or_else(|| {
                 CodecError::Format(format!("frame {} footer offset overflows", frame - 1))
             })?
         };
-        if fo.checked_add(flen).is_none_or(|end| end > self.trailer_start) || fo < expected_start {
+        if fo.checked_add(flen).is_none_or(|end| end > trailer_start) || fo < expected_start {
             return Err(CodecError::Format(format!(
                 "frame {frame} footer offset {fo} outside the data region"
             )));
         }
-        let mut footer = vec![0u8; self.flen];
-        self.source.read_at(fo, &mut footer)?;
-        let offsets: Vec<u64> = footer[8..self.flen - 8]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        if footer != expected_footer(frame, self.cold_frames, &offsets) {
+        let mut footer = vec![0u8; flen as usize];
+        self.read_at(fo, &mut footer)?;
+        let offsets = le_u64s(&footer[8..footer.len() - 8]);
+        if footer != encode_footer(frame, self.cold_frames, &offsets) {
             return Err(CodecError::Format(format!(
                 "frame {frame} footer is corrupt (magic, index, or checksum)"
             )));
@@ -1304,19 +1351,16 @@ impl<S: StreamSource> StreamFileReader<S> {
                 "frame {frame} container offsets do not tile the data region"
             )));
         }
-        if frame + 1 == self.frames && fo + flen != self.trailer_start {
+        if frame + 1 == self.frames && fo + flen != trailer_start {
             return Err(CodecError::Format(format!(
-                "data region ends at {} but the trailer starts at {}",
-                fo + flen,
-                self.trailer_start
+                "data region ends at {} but the trailer starts at {trailer_start}",
+                fo + flen
             )));
         }
-        let offsets = Arc::new(offsets);
-        self.window.lock().expect("manifest window lock").insert(frame, offsets.clone());
         Ok(offsets)
     }
 
-    /// Eagerly validate every frame footer — the pre-out-of-core open
+    /// Eagerly validate every frame's manifest — the pre-out-of-core open
     /// behaviour, for callers that want whole-stream integrity up front
     /// and accept the O(stream) walk (still O(window) resident).
     pub fn validate_all(&self) -> Result<(), CodecError> {
@@ -1336,7 +1380,7 @@ impl<S: StreamSource> StreamFileReader<S> {
         self.partitions
     }
 
-    /// Frames in the cold (compacted) tier — 0 for v2 streams.
+    /// Frames in the cold (compacted) tier — 0 for v1 and v2 streams.
     pub fn cold_frames(&self) -> usize {
         self.cold_frames
     }
@@ -1369,7 +1413,7 @@ impl<S: StreamSource> StreamFileReader<S> {
         let (start, end) = (offsets[partition], offsets[partition + 1]);
         buf.clear();
         buf.resize(to_usize(end - start, "container length")?, 0);
-        self.source.read_at(start, buf)
+        self.read_at(start, buf)
     }
 
     /// Parse one (frame, partition) container — O(1) in the number of
@@ -1442,6 +1486,23 @@ mod tests {
         (dec, out, fields)
     }
 
+    /// A finished v2 stream built in memory through the writer.
+    fn v2_bytes(partitions: usize, frames: &[Vec<Container>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut w =
+            StreamFileWriter::create_in(Cursor::new(&mut bytes), partitions, SyncPolicy::Flush)
+                .unwrap();
+        for f in frames {
+            w.append_frame(f).unwrap();
+        }
+        w.finish().unwrap();
+        bytes
+    }
+
+    fn reader(bytes: &[u8]) -> Result<StreamFileReader<Cursor<&[u8]>>, CodecError> {
+        StreamFileReader::from_source(Cursor::new(bytes))
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("codec_core_{}_{tag}.strm", std::process::id()))
     }
@@ -1458,7 +1519,7 @@ mod tests {
         let total = w.finish().unwrap();
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk.len() as u64, total);
-        assert_eq!(on_disk, stream_file_bytes(dec.num_partitions(), &frames));
+        assert_eq!(on_disk, v2_bytes(dec.num_partitions(), &frames));
 
         let r = StreamFileReader::open(&path).unwrap();
         assert_eq!(r.frames(), 3);
@@ -1495,7 +1556,7 @@ mod tests {
         // uninterrupted write.
         w.append_frame(&frames[2]).unwrap();
         w.finish().unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), stream_file_bytes(p, &frames));
+        assert_eq!(std::fs::read(&path).unwrap(), v2_bytes(p, &frames));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1503,9 +1564,9 @@ mod tests {
     fn recover_bytes_equals_fresh_write_at_every_truncation() {
         let (dec, frames, _) = sample_frames(2);
         let p = dec.num_partitions();
-        let full = stream_file_bytes(p, &frames);
+        let full = v2_bytes(p, &frames);
         let frame0_end = {
-            let one = stream_file_bytes(p, &frames[..1]);
+            let one = v2_bytes(p, &frames[..1]);
             one.len() - trailer_len(1)
         };
         for cut in [
@@ -1518,8 +1579,8 @@ mod tests {
         ] {
             let (rec, report) = recover_stream(&full[..cut]).unwrap();
             let kept = report.frames_kept;
-            assert_eq!(rec, stream_file_bytes(p, &frames[..kept]), "cut at {cut}");
-            let r = StreamFileReader::from_source(rec.as_slice()).unwrap();
+            assert_eq!(rec, v2_bytes(p, &frames[..kept]), "cut at {cut}");
+            let r = reader(&rec).unwrap();
             assert_eq!(r.frames(), kept);
         }
         // Recovery of a finished stream is the identity.
@@ -1532,28 +1593,28 @@ mod tests {
     #[test]
     fn recovery_without_a_surviving_header_is_a_typed_error() {
         let (dec, frames, _) = sample_frames(1);
-        let full = stream_file_bytes(dec.num_partitions(), &frames);
+        let full = v2_bytes(dec.num_partitions(), &frames);
         assert!(recover_stream(&full[..7]).is_err());
         let mut bad = full.clone();
         bad[0] = b'X';
         assert!(recover_stream(&bad).is_err());
         let mut bad = full;
-        bad[4] = STREAM_VERSION; // v1 manifests are not durable files
+        bad[4] = LEGACY_VERSION; // v1 streams are read-only: nothing to recover
         assert!(recover_stream(&bad).is_err());
     }
 
     #[test]
     fn reader_rejects_crashed_and_corrupt_streams() {
         let (dec, frames, _) = sample_frames(2);
-        let full = stream_file_bytes(dec.num_partitions(), &frames);
+        let full = v2_bytes(dec.num_partitions(), &frames);
         // No trailer: the reader refuses (recover first).
         let torn = &full[..full.len() - trailer_len(2)];
-        assert!(StreamFileReader::from_source(torn).is_err());
+        assert!(reader(torn).is_err());
         // Flipped trailer byte: checksum catches it.
         let mut bad = full.clone();
         let tstart = full.len() - trailer_len(2);
         bad[tstart + 9] ^= 0x04;
-        let err = StreamFileReader::from_source(bad.as_slice()).expect_err("trailer corrupt");
+        let err = reader(&bad).expect_err("trailer corrupt");
         assert!(
             err.to_string().contains("checksum") || err.to_string().contains("footer"),
             "{err}"
@@ -1563,15 +1624,15 @@ mod tests {
         // poisoned frame — or the eager walk — fails.
         let mut bad = full.clone();
         let footer0 = {
-            let one = stream_file_bytes(dec.num_partitions(), &frames[..1]);
+            let one = v2_bytes(dec.num_partitions(), &frames[..1]);
             one.len() - trailer_len(1) - footer_len(8)
         };
         bad[footer0 + 5] ^= 0x01;
-        let r = StreamFileReader::from_source(bad.as_slice()).expect("open is lazy");
+        let r = reader(&bad).expect("open is lazy");
         assert!(r.container(0, 0).is_err());
         assert!(r.validate_all().is_err());
         // Out-of-range access on a healthy stream.
-        let r = StreamFileReader::from_source(full.as_slice()).unwrap();
+        let r = reader(&full).unwrap();
         assert!(r.container(2, 0).is_err());
         assert!(r.container(0, 8).is_err());
     }
@@ -1580,7 +1641,7 @@ mod tests {
     fn sync_policies_change_durability_not_bytes() {
         let (dec, frames, _) = sample_frames(2);
         let p = dec.num_partitions();
-        let expected = stream_file_bytes(p, &frames);
+        let expected = v2_bytes(p, &frames);
         for sync in [SyncPolicy::Flush, SyncPolicy::SyncPerFrame, SyncPolicy::SyncOnFinish] {
             let path = temp_path(&format!("sync_{sync:?}"));
             let mut w = StreamFileWriter::create_with(&path, p, sync).unwrap();
@@ -1617,8 +1678,8 @@ mod tests {
     #[test]
     fn read_container_into_reuses_one_scratch_buffer() {
         let (dec, frames, _) = sample_frames(2);
-        let full = stream_file_bytes(dec.num_partitions(), &frames);
-        let r = StreamFileReader::from_source(full.as_slice()).unwrap();
+        let full = v2_bytes(dec.num_partitions(), &frames);
+        let r = reader(&full).unwrap();
         let mut buf = Vec::new();
         for (f, frame) in frames.iter().enumerate() {
             for (p, c) in frame.iter().enumerate() {
@@ -1633,11 +1694,11 @@ mod tests {
     #[test]
     fn manifest_window_changes_residency_not_results() {
         let (dec, frames, _) = sample_frames(3);
-        let full = stream_file_bytes(dec.num_partitions(), &frames);
+        let full = v2_bytes(dec.num_partitions(), &frames);
         // A one-frame window forces eviction on every frame switch; reads
         // must still validate and match a full-window reader.
-        let tight = StreamFileReader::from_source_with(full.as_slice(), 1).unwrap();
-        let wide = StreamFileReader::from_source(full.as_slice()).unwrap();
+        let tight = StreamFileReader::from_source_with(Cursor::new(&full[..]), 1).unwrap();
+        let wide = reader(&full).unwrap();
         for f in (0..3).chain((0..3).rev()) {
             for p in 0..dec.num_partitions() {
                 assert_eq!(
@@ -1681,7 +1742,7 @@ mod tests {
         // Byte-canonical: the on-disk file equals the in-memory tiered
         // encoder over independently re-compressed cold frames.
         let cold: Vec<Vec<Container>> = frames[..2].iter().map(|f| recompress(f, 1.0)).collect();
-        let expected = stream_file_bytes_tiered(p, &cold, &frames[2..]);
+        let expected = stream_file_bytes_tiered(p, &cold, &frames[2..]).unwrap();
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk.len() as u64, total);
         assert_eq!(on_disk, expected);
@@ -1702,11 +1763,11 @@ mod tests {
 
     #[test]
     fn compaction_is_a_noop_below_the_horizon_and_idempotent() {
-        let (dec, frames, _) = sample_frames(3);
+        let (dec, frames, _) = sample_frames(4);
         let p = dec.num_partitions();
         let path = temp_path("compact_noop");
         let mut w = StreamFileWriter::create(&path, p).unwrap();
-        for f in &frames {
+        for f in &frames[..3] {
             w.append_frame(f).unwrap();
         }
         // Horizon covers every frame: nothing is cold.
@@ -1718,6 +1779,15 @@ mod tests {
         assert!(w.compact::<f32>(CompactionConfig::new(1, 1.0)).unwrap().is_none());
         // Invalid bound is a typed error.
         assert!(w.compact::<f32>(CompactionConfig::new(0, f64::NAN)).is_err());
+        // Once another frame ages past the horizon, the next run copies the
+        // cold prefix verbatim and re-tiers only the newly aged frame.
+        w.append_frame(&frames[3]).unwrap();
+        let report = w.compact::<f32>(CompactionConfig::new(1, 1.0)).unwrap().expect("frame 2");
+        assert_eq!((report.frames_compacted, report.cold_frames), (1, 3));
+        w.finish().unwrap();
+        let cold: Vec<Vec<Container>> = frames[..3].iter().map(|f| recompress(f, 1.0)).collect();
+        let expected = stream_file_bytes_tiered(p, &cold, &frames[3..]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1757,11 +1827,11 @@ mod tests {
         let p = dec.num_partitions();
         let cold: Vec<Vec<Container>> = frames[..2].iter().map(|f| recompress(f, 1.0)).collect();
         let hot: Vec<Vec<Container>> = frames[2..].to_vec();
-        let full = stream_file_bytes_tiered(p, &cold, &hot);
+        let full = stream_file_bytes_tiered(p, &cold, &hot).unwrap();
         // End of the data region once `k` frames survive.
         let prefix_len = |k: usize| {
             let ck = k.min(2);
-            stream_file_bytes_tiered(p, &cold[..ck], &hot[..k - ck]).len() - trailer_len(k)
+            stream_file_bytes_tiered(p, &cold[..ck], &hot[..k - ck]).unwrap().len() - trailer_len(k)
         };
         for cut in [
             FILE_HEADER_LEN,
@@ -1780,8 +1850,12 @@ mod tests {
             // Recovered bytes ≡ a fresh tiered write of the survivors —
             // including the patched cold count when the cut reached into
             // the cold tier.
-            assert_eq!(rec, stream_file_bytes_tiered(p, &cold[..ck], &hot[..k - ck]), "cut {cut}");
-            let r = StreamFileReader::from_source(rec.as_slice()).unwrap();
+            assert_eq!(
+                rec,
+                stream_file_bytes_tiered(p, &cold[..ck], &hot[..k - ck]).unwrap(),
+                "cut {cut}"
+            );
+            let r = reader(&rec).unwrap();
             assert_eq!((r.frames(), r.cold_frames()), (k, ck), "cut {cut}");
             r.validate_all().unwrap();
         }
@@ -1800,7 +1874,7 @@ mod tests {
         w.finish().unwrap();
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            stream_file_bytes_tiered(p, &cold[..1], &hot[..1])
+            stream_file_bytes_tiered(p, &cold[..1], &hot[..1]).unwrap()
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1820,7 +1894,10 @@ mod tests {
             .expect("2 eligible");
         assert_eq!(report.frames_compacted, 2);
         let cold: Vec<Vec<Container>> = frames[..2].iter().map(|f| recompress(f, 0.75)).collect();
-        assert_eq!(std::fs::read(&path).unwrap(), stream_file_bytes_tiered(p, &cold, &frames[2..]));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            stream_file_bytes_tiered(p, &cold, &frames[2..]).unwrap()
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1834,5 +1911,81 @@ mod tests {
         assert_eq!(r.partitions(), 4);
         assert!(r.container(0, 0).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn writer_rejects_wrong_partition_count() {
+        let (_, frames, _) = sample_frames(1);
+        let mut bytes = Vec::new();
+        let mut w =
+            StreamFileWriter::create_in(Cursor::new(&mut bytes), 3, SyncPolicy::Flush).unwrap();
+        let err = w.append_frame(&frames[0]).expect_err("8 containers into a 3-wide stream");
+        assert!(matches!(err, CodecError::Format(_)), "{err}");
+        assert_eq!(w.frames(), 0);
+        // Nothing was written: the next well-formed frame lands as frame 0.
+        w.append_frame(&frames[0][..3]).unwrap();
+        w.finish().unwrap();
+        assert_eq!(bytes, v2_bytes(3, &[frames[0][..3].to_vec()]));
+    }
+
+    #[test]
+    fn hostile_partition_count_is_a_typed_result_on_both_recovery_paths() {
+        // A 16-byte header declaring 2³²−1 partitions: recovery must not
+        // reserve memory from the declared count.
+        let header = encode_header(u32::MAX as usize, None);
+        let (rec, report) = recover_stream(&header).expect("an empty stream recovers");
+        assert_eq!((report.partitions, report.frames_kept), (u32::MAX as usize, 0));
+        assert_eq!(rec.len(), FILE_HEADER_LEN + trailer_len(0));
+        let path = temp_path("hostile_header");
+        std::fs::write(&path, header).unwrap();
+        let (w, report) = StreamFileWriter::recover(&path).expect("an empty stream recovers");
+        assert_eq!((w.frames(), report.bytes_dropped), (0, 0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `STRM` v1 is read-only; the golden fixture and the fault-injection
+    /// matrix cover real streams, these hand-built manifests the edges.
+    mod v1 {
+        use super::*;
+
+        fn v1_stream(partitions: u32, frames: u32, table: &[u64]) -> Vec<u8> {
+            let table: Vec<u8> = table.iter().flat_map(|o| o.to_le_bytes()).collect();
+            let mut b = MAGIC.to_vec();
+            b.extend_from_slice(&[LEGACY_VERSION, 0, 0, 0]);
+            b.extend_from_slice(&partitions.to_le_bytes());
+            b.extend_from_slice(&frames.to_le_bytes());
+            b.extend_from_slice(&fnv1a64(&table).to_le_bytes());
+            b.extend_from_slice(&table);
+            b
+        }
+
+        #[test]
+        fn huge_declared_counts_are_rejected_not_panicked_on() {
+            // A frames × partitions table whose byte size overflows must
+            // fail the parse (truncated table), not wrap around, sneak past
+            // the size check, and panic on first access.
+            let b = v1_stream(0x8000_0000, 0x8000_0000, &[0]);
+            let err = reader(&b).expect_err("oversized table rejected");
+            assert!(err.to_string().contains("truncated"), "{err}");
+        }
+
+        #[test]
+        fn empty_stream_has_valid_manifest() {
+            let b = v1_stream(4, 0, &[LEGACY_HEADER_LEN + 8]);
+            let r = reader(&b).expect("parses");
+            assert_eq!((r.frames(), r.partitions(), r.cold_frames()), (0, 4, 0));
+            assert!(r.container(0, 0).is_err());
+            r.validate_all().unwrap();
+        }
+
+        #[test]
+        fn a_checksummed_but_disordered_table_fails_on_access() {
+            // First and last entries pass the open-time checks; the lazy
+            // per-frame checks catch the rest.
+            let b = v1_stream(1, 2, &[48, 60, 48]);
+            let r = reader(&b).expect("open checks only the table's ends");
+            assert!(r.container(0, 0).unwrap_err().to_string().contains("past end"));
+            assert!(r.container(1, 0).unwrap_err().to_string().contains("monotone"));
+        }
     }
 }

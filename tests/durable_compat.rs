@@ -14,11 +14,12 @@ use adaptive_config::session::{
     QualityPolicy, SessionCheckpoint, SessionConfig, StreamSession, CHECKPOINT_VERSION,
 };
 use codec_core::{
-    compact_stream_file, fnv1a64, footer_len, recover_stream, stream_file_bytes, trailer_len,
-    CodecId, CompactionConfig, Container, StreamFileReader, StreamFileWriter,
+    compact_stream_file, fnv1a64, footer_len, recover_stream, trailer_len, CodecId,
+    CompactionConfig, Container, StreamFileReader, StreamFileWriter, SyncPolicy,
     STREAM_FILE_TIERED_VERSION, STREAM_FILE_VERSION,
 };
 use gridlab::{Decomposition, Dim3, Field3};
+use std::io::Cursor;
 
 const FIXTURE_EB: f64 = 0.25;
 
@@ -59,6 +60,18 @@ fn strm_fixture_frames() -> Vec<Vec<Container>> {
         .collect()
 }
 
+/// Must match `diag_strm_file_fixture`: a fresh in-memory write of `frames`.
+fn fresh_write(frames: &[Vec<Container>]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = StreamFileWriter::create_in(Cursor::new(&mut bytes), 8, SyncPolicy::Flush)
+        .expect("in-memory stream");
+    for frame in frames {
+        w.append_frame(frame).expect("append frame");
+    }
+    w.finish().expect("finish stream");
+    bytes
+}
+
 fn strm_fixture_bytes() -> Vec<u8> {
     std::fs::read(fixture_path("strm_v2_file_2x8.bin"))
         .expect("golden fixture present in tests/fixtures/")
@@ -87,8 +100,8 @@ fn golden_stream_file_layout_is_pinned() {
 
 #[test]
 fn golden_stream_file_still_decodes_with_random_access() {
-    let bytes = strm_fixture_bytes();
-    let r = StreamFileReader::from_source(bytes.as_slice()).expect("stream recognised");
+    let r =
+        StreamFileReader::open(fixture_path("strm_v2_file_2x8.bin")).expect("stream recognised");
     assert_eq!(r.frames(), 2);
     assert_eq!(r.partitions(), 8);
     let dec = strm_fixture_dec();
@@ -114,7 +127,7 @@ fn golden_stream_file_still_decodes_with_random_access() {
 #[test]
 fn stream_file_format_is_byte_stable() {
     let golden = strm_fixture_bytes();
-    let now = stream_file_bytes(8, &strm_fixture_frames());
+    let now = fresh_write(&strm_fixture_frames());
     assert_eq!(
         fnv1a64(&now),
         fnv1a64(&golden),
@@ -131,7 +144,7 @@ fn golden_stream_file_recovers_as_the_identity_and_truncated() {
     assert_eq!(rec, golden);
     assert_eq!(report.frames_kept, 2);
     // Chopping into frame 1 recovers exactly the 1-frame fresh write.
-    let one_frame = stream_file_bytes(8, &strm_fixture_frames()[..1]);
+    let one_frame = fresh_write(&strm_fixture_frames()[..1]);
     let cut = one_frame.len() - trailer_len(1) + 100; // past frame 0's footer
     let (rec, report) = recover_stream(&golden[..cut]).expect("recovers");
     assert_eq!(report.frames_kept, 1);
@@ -188,7 +201,7 @@ fn golden_tiered_stream_file_is_pinned_decodes_and_recovers_unchanged() {
     // Decodes within bound: the cold frame within the write bound plus the
     // relaxed re-tiering bound, the hot frame at the write bound, and the
     // codec mix survives re-tiering.
-    let r = StreamFileReader::from_source(golden.as_slice()).expect("stream recognised");
+    let r = StreamFileReader::from_source(Cursor::new(&golden[..])).expect("stream recognised");
     assert_eq!((r.frames(), r.partitions(), r.cold_frames()), (2, 8, 1));
     r.validate_all().expect("every footer verifies");
     let dec = strm_fixture_dec();

@@ -1,5 +1,5 @@
 //! Fault-injection matrix over every on-disk format: `ACC2` partition
-//! containers, `STRM` v1 in-memory streams, `STRM` v2 durable stream
+//! containers, `STRM` v1 (read-only) streams, `STRM` v2 durable stream
 //! files, `STRM` v3 tiered (compacted) stream files, and `CKPT` session
 //! checkpoints.
 //!
@@ -23,10 +23,11 @@
 
 use adaptive_config::session::SessionCheckpoint;
 use codec_core::{
-    recover_stream, stream_file_bytes, stream_file_bytes_tiered, CodecId, Container,
-    StreamFileReader, StreamReader, StreamWriter,
+    recover_stream, stream_file_bytes_tiered, CodecId, Container, StreamFileReader,
+    StreamFileWriter, SyncPolicy,
 };
 use gridlab::{Decomposition, Dim3, Field3};
+use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A format probe: parse corrupted bytes, return the per-container raw
@@ -170,69 +171,78 @@ fn container_baseline(frames: &[Vec<Container>]) -> Vec<(Vec<u8>, Vec<f32>)> {
         .collect()
 }
 
+/// A finished `STRM` v2 stream of `frames`, written in memory.
+fn stream_v2(frames: &[Vec<Container>]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = StreamFileWriter::create_in(Cursor::new(&mut bytes), 8, SyncPolicy::Flush)
+        .expect("in-memory stream");
+    for f in frames {
+        w.append_frame(f).expect("append frame");
+    }
+    w.finish().expect("finish stream");
+    bytes
+}
+
+/// Probe: open the stream and read every container it serves.
+fn read_all(b: &[u8]) -> Result<Vec<Vec<u8>>, String> {
+    let r = StreamFileReader::from_source(Cursor::new(b)).map_err(|e| e.to_string())?;
+    let mut out = Vec::new();
+    for f in 0..r.frames() {
+        for p in 0..r.partitions() {
+            out.push(r.container_bytes(f, p).map_err(|e| e.to_string())?);
+        }
+    }
+    Ok(out)
+}
+
+/// Probe: recover the stream, then read every container of the result.
+/// Recovery is *allowed* to drop frames — its contract is a valid prefix
+/// (losing a *cold* frame additionally patches the header's cold count
+/// down). What it must never do is panic, hang, or hand back a stream
+/// whose containers decode to different values than they were written
+/// with.
+fn recover_then_read_all(b: &[u8]) -> Result<Vec<Vec<u8>>, String> {
+    let (recovered, report) = recover_stream(b).map_err(|e| e.to_string())?;
+    let r = StreamFileReader::from_source(Cursor::new(&recovered[..]))
+        .map_err(|e| format!("recover produced an unreadable stream: {e}"))?;
+    assert_eq!(r.frames(), report.frames_kept, "report disagrees with the recovered stream");
+    assert!(r.cold_frames() <= r.frames(), "recovered cold count exceeds frame count");
+    read_all(&recovered)
+}
+
 #[test]
 fn strm_v1_stream_corruption_matrix() {
-    let frames = sample_frames();
-    let mut w = StreamWriter::new(8);
-    for f in &frames {
-        w.push_frame(f);
-    }
-    let bytes = w.finish();
-    let baseline = container_baseline(&frames);
-    let probe = |b: &[u8]| -> Result<Vec<Vec<u8>>, String> {
-        let r = StreamReader::new(b).map_err(|e| e.to_string())?;
-        let mut out = Vec::new();
-        for f in 0..r.frames() {
-            for p in 0..r.partitions() {
-                out.push(r.container_bytes(f, p).map_err(|e| e.to_string())?.to_vec());
-            }
-        }
-        Ok(out)
-    };
-    injection_matrix("STRM/v1", &bytes, &baseline, &probe);
+    // Nothing writes v1 any more: the matrix runs over the frozen golden
+    // fixture, its baseline split straight off the offset table.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/strm_v1_2x8.bin");
+    let bytes = std::fs::read(path).expect("golden fixture present in tests/fixtures/");
+    let table: Vec<usize> = bytes[24..24 + 8 * 17]
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
+        .collect();
+    let baseline: Vec<(Vec<u8>, Vec<f32>)> = table
+        .windows(2)
+        .map(|w| {
+            let b = bytes[w[0]..w[1]].to_vec();
+            let v = decode_values(&b).expect("baseline decodes");
+            (b, v)
+        })
+        .collect();
+    injection_matrix("STRM/v1", &bytes, &baseline, &read_all);
 }
 
 #[test]
 fn strm_v2_stream_file_corruption_matrix() {
     let frames = sample_frames();
-    let bytes = stream_file_bytes(8, &frames);
     let baseline = container_baseline(&frames);
-    let probe = |b: &[u8]| -> Result<Vec<Vec<u8>>, String> {
-        let r = StreamFileReader::from_source(b).map_err(|e| e.to_string())?;
-        let mut out = Vec::new();
-        for f in 0..r.frames() {
-            for p in 0..r.partitions() {
-                out.push(r.container_bytes(f, p).map_err(|e| e.to_string())?);
-            }
-        }
-        Ok(out)
-    };
-    injection_matrix("STRM/v2-file", &bytes, &baseline, &probe);
+    injection_matrix("STRM/v2-file", &stream_v2(&frames), &baseline, &read_all);
 }
 
 #[test]
 fn strm_v2_recovery_corruption_matrix() {
-    // Recovery is *allowed* to drop frames — its contract is a valid
-    // prefix. What it must never do is panic, hang, or hand back a stream
-    // whose containers decode to different values than they were written
-    // with.
     let frames = sample_frames();
-    let bytes = stream_file_bytes(8, &frames);
     let baseline = container_baseline(&frames);
-    let probe = |b: &[u8]| -> Result<Vec<Vec<u8>>, String> {
-        let (recovered, report) = recover_stream(b).map_err(|e| e.to_string())?;
-        let r = StreamFileReader::from_source(recovered.as_slice())
-            .map_err(|e| format!("recover produced an unreadable stream: {e}"))?;
-        assert_eq!(r.frames(), report.frames_kept, "report disagrees with the recovered stream");
-        let mut out = Vec::new();
-        for f in 0..r.frames() {
-            for p in 0..r.partitions() {
-                out.push(r.container_bytes(f, p).map_err(|e| e.to_string())?);
-            }
-        }
-        Ok(out)
-    };
-    injection_matrix("STRM/v2-recover", &bytes, &baseline, &probe);
+    injection_matrix("STRM/v2-recover", &stream_v2(&frames), &baseline, &recover_then_read_all);
 }
 
 /// The `STRM` v3 blob a compaction would emit: frame 0 re-tiered cold at a
@@ -248,7 +258,8 @@ fn tiered_sample() -> (Vec<u8>, Vec<Vec<Container>>) {
             Container::compress(c.codec(), brick.as_slice(), brick.dims(), 1.0)
         })
         .collect();
-    let bytes = stream_file_bytes_tiered(8, std::slice::from_ref(&cold), &frames[1..]);
+    let bytes = stream_file_bytes_tiered(8, std::slice::from_ref(&cold), &frames[1..])
+        .expect("tiered stream");
     (bytes, vec![cold, frames[1].clone()])
 }
 
@@ -260,41 +271,14 @@ fn strm_v3_tiered_stream_corruption_matrix() {
     // as a typed error on access or leave the served bytes baseline.
     let (bytes, frames) = tiered_sample();
     let baseline = container_baseline(&frames);
-    let probe = |b: &[u8]| -> Result<Vec<Vec<u8>>, String> {
-        let r = StreamFileReader::from_source(b).map_err(|e| e.to_string())?;
-        let mut out = Vec::new();
-        for f in 0..r.frames() {
-            for p in 0..r.partitions() {
-                out.push(r.container_bytes(f, p).map_err(|e| e.to_string())?);
-            }
-        }
-        Ok(out)
-    };
-    injection_matrix("STRM/v3-tiered", &bytes, &baseline, &probe);
+    injection_matrix("STRM/v3-tiered", &bytes, &baseline, &read_all);
 }
 
 #[test]
 fn strm_v3_recovery_corruption_matrix() {
-    // Recovery over a tiered file: dropping frames is allowed (losing a
-    // *cold* frame additionally patches the header's cold count down), but
-    // whatever survives must re-open and decode to the written values.
     let (bytes, frames) = tiered_sample();
     let baseline = container_baseline(&frames);
-    let probe = |b: &[u8]| -> Result<Vec<Vec<u8>>, String> {
-        let (recovered, report) = recover_stream(b).map_err(|e| e.to_string())?;
-        let r = StreamFileReader::from_source(recovered.as_slice())
-            .map_err(|e| format!("recover produced an unreadable stream: {e}"))?;
-        assert_eq!(r.frames(), report.frames_kept, "report disagrees with the recovered stream");
-        assert!(r.cold_frames() <= r.frames(), "recovered cold count exceeds frame count");
-        let mut out = Vec::new();
-        for f in 0..r.frames() {
-            for p in 0..r.partitions() {
-                out.push(r.container_bytes(f, p).map_err(|e| e.to_string())?);
-            }
-        }
-        Ok(out)
-    };
-    injection_matrix("STRM/v3-recover", &bytes, &baseline, &probe);
+    injection_matrix("STRM/v3-recover", &bytes, &baseline, &recover_then_read_all);
 }
 
 #[test]

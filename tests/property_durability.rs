@@ -20,11 +20,12 @@
 use adaptive_config::ratio_model::{CodecModelBank, RatioModel};
 use adaptive_config::session::{QualityPolicy, SessionCheckpoint, SessionConfig, StreamSession};
 use codec_core::{
-    compact_stream_file, recover_stream, stream_file_bytes, stream_file_bytes_tiered, trailer_len,
-    CodecId, CompactionConfig, Container, StreamFileReader,
+    compact_stream_file, recover_stream, stream_file_bytes_tiered, trailer_len, CodecId,
+    CompactionConfig, Container, StreamFileReader, StreamFileWriter, SyncPolicy,
 };
 use gridlab::{Decomposition, Dim3, Field3};
 use proptest::prelude::*;
+use std::io::Cursor;
 
 fn ratio_model() -> impl Strategy<Value = RatioModel> {
     (-3.0f64..-0.05, -5.0f64..5.0, -2.0f64..2.0).prop_map(|(c, a0, a1)| RatioModel { c, a0, a1 })
@@ -138,6 +139,19 @@ fn recompress(frame: &[Container], eb: f64) -> Vec<Container> {
         .collect()
 }
 
+/// A fresh, uninterrupted in-memory write of `frames` into a finished
+/// `STRM` v2 stream.
+fn fresh_write(partitions: usize, frames: &[Vec<Container>]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = StreamFileWriter::create_in(Cursor::new(&mut bytes), partitions, SyncPolicy::Flush)
+        .expect("in-memory stream");
+    for f in frames {
+        w.append_frame(f).expect("append frame");
+    }
+    w.finish().expect("finish stream");
+    bytes
+}
+
 /// A collision-free scratch path for one proptest case.
 fn scratch_path(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,11 +181,11 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let partitions = 8;
-        let full = stream_file_bytes(partitions, &frames);
+        let full = fresh_write(partitions, &frames);
         // Every "fresh write of the first k frames", and where each
         // frame's data (incl. footer) ends in the byte stream.
         let fresh: Vec<Vec<u8>> =
-            (0..=frames.len()).map(|k| stream_file_bytes(partitions, &frames[..k])).collect();
+            (0..=frames.len()).map(|k| fresh_write(partitions, &frames[..k])).collect();
         let data_end: Vec<usize> =
             fresh.iter().enumerate().map(|(k, b)| b.len() - trailer_len(k)).collect();
 
@@ -203,7 +217,7 @@ proptest! {
     ) {
         let partitions = 8;
         let path = scratch_path("compact");
-        std::fs::write(&path, stream_file_bytes(partitions, &frames)).expect("write scratch");
+        std::fs::write(&path, fresh_write(partitions, &frames)).expect("write scratch");
         let report = compact_stream_file::<f32>(&path, CompactionConfig::new(horizon, eb2));
         let compacted = std::fs::read(&path).expect("read back");
         let _ = std::fs::remove_file(&path);
@@ -215,7 +229,7 @@ proptest! {
         match report.unwrap() {
             None => {
                 prop_assert!(cold_n == 0, "no-op despite {} frames past the horizon", cold_n);
-                prop_assert_eq!(&compacted, &stream_file_bytes(partitions, &frames));
+                prop_assert_eq!(&compacted, &fresh_write(partitions, &frames));
             }
             Some(rep) => {
                 prop_assert_eq!(rep.frames_compacted, cold_n);
@@ -224,7 +238,7 @@ proptest! {
                     frames[..cold_n].iter().map(|f| recompress(f, eb2)).collect();
                 prop_assert_eq!(
                     &compacted,
-                    &stream_file_bytes_tiered(partitions, &cold, &frames[cold_n..])
+                    &stream_file_bytes_tiered(partitions, &cold, &frames[cold_n..]).unwrap()
                 );
             }
         }
@@ -240,7 +254,7 @@ proptest! {
         // Reconstructions: hot frames are bit-identical to the originals;
         // cold frames moved at most eb2 from the pre-compaction decode
         // wherever the codec guarantees its bound (rsz).
-        let reader = StreamFileReader::from_source(compacted.as_slice()).expect("open");
+        let reader = StreamFileReader::from_source(Cursor::new(&compacted[..])).expect("open");
         prop_assert_eq!(reader.cold_frames(), cold_n.min(frames.len()));
         for (f, frame) in frames.iter().enumerate() {
             for (p, orig) in frame.iter().enumerate() {

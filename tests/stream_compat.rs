@@ -1,17 +1,18 @@
-//! Stream-container compatibility: the golden `STRM` fixture pins the
-//! manifest layout (header, offset table) and the byte stability of a
-//! mixed-codec 2-frame stream, so stored series stay readable forever —
-//! any drift must be a conscious, versioned change.
+//! `STRM` v1 compatibility: the golden fixture pins the manifest-first
+//! layout (header, offset table) of a mixed-codec 2-frame stream, so
+//! stored v1 series stay readable forever through the one stream reader.
 //!
-//! The fixture is regenerated (never casually!) by
-//! `cargo run --release -p bench --bin diag_strm_fixture`.
+//! Nothing writes v1 any more, so the fixture is frozen: no regenerator
+//! exists, and CI's `git diff --exit-code tests/fixtures` keeps its bytes.
+//! Its containers must still equal what today's codecs emit for the same
+//! bricks.
 
-use codec_core::{fnv1a64, CodecId, Container, StreamReader, StreamWriter, STREAM_VERSION};
+use codec_core::{CodecId, Container, StreamFileReader};
 use gridlab::{Decomposition, Dim3, Field3};
 
 const FIXTURE_EB: f64 = 0.25;
 
-/// Must match `diag_strm_fixture`.
+/// The field family the fixture was written from.
 fn fixture_field(frame: u64) -> Field3<f32> {
     let mut state = 0xA11CE ^ (frame << 32);
     Field3::from_fn(Dim3::cube(16), |_, _, _| {
@@ -20,41 +21,27 @@ fn fixture_field(frame: u64) -> Field3<f32> {
     })
 }
 
-/// Must match `diag_strm_fixture`.
-fn fixture_stream() -> Vec<u8> {
-    let dec = fixture_dec();
-    let mut w = StreamWriter::new(dec.num_partitions());
-    for frame in 0..2u64 {
-        let field = fixture_field(frame);
-        let containers: Vec<Container> = dec
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let brick = field.extract(p.origin, p.dims);
-                let codec = if i % 2 == 0 { CodecId::Rsz } else { CodecId::Zfp };
-                Container::compress(codec, brick.as_slice(), brick.dims(), FIXTURE_EB)
-            })
-            .collect();
-        w.push_frame(&containers);
-    }
-    w.finish()
-}
-
 fn fixture_dec() -> Decomposition {
     Decomposition::cubic(16, 2).expect("2 divides 16")
 }
 
+const FIXTURE_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/strm_v1_2x8.bin");
+
 fn fixture_bytes() -> Vec<u8> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/strm_v1_2x8.bin");
-    std::fs::read(path).expect("golden fixture present in tests/fixtures/")
+    std::fs::read(FIXTURE_PATH).expect("golden fixture present in tests/fixtures/")
+}
+
+fn fixture_reader() -> StreamFileReader {
+    StreamFileReader::open(FIXTURE_PATH).expect("v1 stream recognised")
 }
 
 #[test]
 fn golden_strm_manifest_layout_is_pinned() {
     let bytes = fixture_bytes();
-    // Byte-level header promises (see codec_core::stream docs).
+    // Byte-level header promises (see codec_core::stream_file docs).
     assert_eq!(&bytes[..4], b"STRM");
-    assert_eq!(bytes[4], STREAM_VERSION);
+    assert_eq!(bytes[4], 1, "version");
     assert_eq!(&bytes[5..8], &[0, 0, 0]);
     assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 8, "partitions");
     assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 2, "frames");
@@ -69,8 +56,7 @@ fn golden_strm_manifest_layout_is_pinned() {
 
 #[test]
 fn golden_strm_fixture_still_decodes() {
-    let bytes = fixture_bytes();
-    let r = StreamReader::new(&bytes).expect("stream recognised");
+    let r = fixture_reader();
     assert_eq!(r.frames(), 2);
     assert_eq!(r.partitions(), 8);
     let dec = fixture_dec();
@@ -90,23 +76,26 @@ fn golden_strm_fixture_still_decodes() {
 
 #[test]
 fn strm_format_is_byte_stable() {
-    // Writing the fixture's series today must reproduce the golden bytes
-    // exactly — any drift in the manifest, the v2 wrapper, or either codec
-    // payload breaks every stored stream.
-    let golden = fixture_bytes();
-    let now = fixture_stream();
-    assert_eq!(
-        fnv1a64(&now),
-        fnv1a64(&golden),
-        "stream bytes drifted from the golden STRM fixture"
-    );
-    assert_eq!(now, golden);
+    // Every container in the frozen stream must equal what today's codecs
+    // emit for the same brick — any drift in the v2 wrapper or either
+    // codec payload breaks every stored stream.
+    let r = fixture_reader();
+    let dec = fixture_dec();
+    for frame in 0..2u64 {
+        let field = fixture_field(frame);
+        for (i, p) in dec.iter().enumerate() {
+            let brick = field.extract(p.origin, p.dims);
+            let codec = if i % 2 == 0 { CodecId::Rsz } else { CodecId::Zfp };
+            let now = Container::compress(codec, brick.as_slice(), brick.dims(), FIXTURE_EB);
+            let golden = r.container_bytes(frame as usize, i).expect("reads");
+            assert_eq!(now.as_bytes(), golden, "(frame {frame}, partition {i}) drifted");
+        }
+    }
 }
 
 #[test]
 fn random_access_matches_sequential_decode_on_the_fixture() {
-    let bytes = fixture_bytes();
-    let r = StreamReader::new(&bytes).unwrap();
+    let r = fixture_reader();
     let dec = fixture_dec();
     for frame in 0..2 {
         let whole: Field3<f32> = r.reconstruct_frame(frame, &dec).unwrap();

@@ -10,9 +10,10 @@
 //!   full sequential reconstruction.
 
 use adaptive_config::session::{QualityPolicy, Recalibration, SessionConfig, StreamSession};
-use codec_core::{CodecId, StreamFileReader, StreamFileWriter, StreamReader, StreamWriter};
+use codec_core::{CodecId, StreamFileReader, StreamFileWriter, SyncPolicy};
 use gridlab::{Decomposition, Field3};
 use nyxlite::NyxConfig;
+use std::io::Cursor;
 
 const REDSHIFTS: [f64; 5] = [54.0, 51.0, 48.0, 45.0, 42.0];
 
@@ -25,13 +26,20 @@ fn run_series(
     let dec = Decomposition::cubic(n, 4).expect("4 divides 32");
     let mut session =
         StreamSession::new(SessionConfig::new(dec.clone(), policy).with_codecs(codecs));
-    let mut stream = StreamWriter::new(dec.num_partitions());
+    let mut bytes = Vec::new();
+    let mut stream = StreamFileWriter::create_in(
+        Cursor::new(&mut bytes),
+        dec.num_partitions(),
+        SyncPolicy::Flush,
+    )
+    .unwrap();
     for &z in &REDSHIFTS {
         let snap = cfg.generate(z);
         let rec = session.push_snapshot(&snap.baryon_density).expect("finite snapshot");
-        stream.push_frame(&rec.result.containers);
+        stream.append_frame(&rec.result.containers).unwrap();
     }
-    (session, stream.finish(), dec)
+    stream.finish().unwrap();
+    (session, bytes, dec)
 }
 
 #[test]
@@ -79,7 +87,7 @@ fn session_budget_tracks_the_evolving_sigma() {
 #[test]
 fn stream_random_access_matches_sequential_reconstruction() {
     let (_, bytes, dec) = run_series(QualityPolicy::SigmaScaled(0.1), &CodecId::ALL);
-    let r = StreamReader::new(&bytes).expect("stream parses");
+    let r = StreamFileReader::from_source(Cursor::new(&bytes[..])).expect("stream parses");
     assert_eq!(r.frames(), 5);
     assert_eq!(r.partitions(), dec.num_partitions());
     // Every frame: assemble sequentially, then spot-check partitions in
@@ -105,18 +113,24 @@ fn stream_frames_decode_within_their_recorded_bounds() {
     let dec = Decomposition::cubic(n, 4).unwrap();
     let mut session =
         StreamSession::new(SessionConfig::new(dec.clone(), QualityPolicy::SigmaScaled(0.1)));
-    let mut stream = StreamWriter::new(dec.num_partitions());
+    let mut bytes = Vec::new();
+    let mut stream = StreamFileWriter::create_in(
+        Cursor::new(&mut bytes),
+        dec.num_partitions(),
+        SyncPolicy::Flush,
+    )
+    .unwrap();
     let mut all_ebs = Vec::new();
     let mut fields = Vec::new();
     for &z in &REDSHIFTS {
         let snap = cfg.generate(z);
         let rec = session.push_snapshot(&snap.baryon_density).expect("finite snapshot");
-        stream.push_frame(&rec.result.containers);
+        stream.append_frame(&rec.result.containers).unwrap();
         all_ebs.push(rec.result.ebs.clone());
         fields.push(snap.baryon_density);
     }
-    let bytes = stream.finish();
-    let r = StreamReader::new(&bytes).unwrap();
+    stream.finish().unwrap();
+    let r = StreamFileReader::from_source(Cursor::new(&bytes[..])).unwrap();
     for (frame, (field, ebs)) in fields.iter().zip(&all_ebs).enumerate() {
         let recon: Field3<f32> = r.reconstruct_frame(frame, &dec).unwrap();
         for ((bo, br), &eb) in dec.split(field).iter().zip(&dec.split(&recon)[..]).zip(ebs) {
@@ -204,7 +218,7 @@ fn kill_and_resume_reproduces_the_uninterrupted_stream() {
 fn bitrate_budget_policy_runs_the_series_under_budget() {
     let (session, bytes, _) = run_series(QualityPolicy::BitrateBudget(4.0), &[CodecId::Rsz]);
     assert_eq!(session.full_calibrations(), 1);
-    let r = StreamReader::new(&bytes).unwrap();
+    let r = StreamFileReader::from_source(Cursor::new(&bytes[..])).unwrap();
     assert_eq!(r.frames(), 5);
     // The budget contract is on the model's prediction; measured rates
     // stay in its neighbourhood (model accuracy, not the bound itself).
