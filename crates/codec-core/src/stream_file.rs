@@ -11,7 +11,7 @@
 //! same layout plus a **cold tier**: a prefix of frames the compactor
 //! (below) has re-compressed at a relaxed bound or colder codec, marked by
 //! `FTR3` footers digested with the interleaved
-//! [`fnv1a64_quad`](crate::container::fnv1a64_quad) checksum.
+//! [`fnv1a64_quad`] checksum.
 //!
 //! One writer, [`StreamFileWriter`], encodes every frame: appends,
 //! compaction's cold and rebased hot frames, and the in-memory
